@@ -15,11 +15,13 @@ ssb_sgis_ray.queries (engine pipeline + DuckDB-checkable SQL pairs).
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Callable
 from typing import Any
 
-sys.path.insert(0, "/root/repo")
+# the checkout this file belongs to
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 SF_SMOKE = "/root/testdata/sf0.001"
 

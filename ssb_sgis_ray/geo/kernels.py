@@ -251,30 +251,153 @@ def points_in_polygon_pairs(
     return inside | on_bd
 
 
+# the reference's sfilter predicate vocabulary (sfilter.py:67-134)
+PREDICATES = ("intersects", "within", "covered_by", "touches", "overlaps",
+              "covers", "contains", "crosses")
+
+
+def predicate_names(predicate) -> tuple[str, ...]:
+    """One predicate name or a sequence of names -> validated tuple.
+
+    Raises ValueError on a name outside ``PREDICATES`` and on an empty or
+    duplicate sequence."""
+    names = (predicate,) if isinstance(predicate, str) else tuple(predicate)
+    if not names:
+        raise ValueError("empty predicate sequence")
+    bad = [p for p in names if p not in PREDICATES]
+    if bad:
+        raise ValueError(
+            f"unknown predicate(s) {bad}; expected names from {PREDICATES}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate predicate in {list(names)}")
+    return names
+
+
+def _predicate_masks(predicate, n_pairs: int, rules: dict, basis) -> np.ndarray:
+    """One bool mask over the pairs per predicate name.
+
+    ``basis()`` computes the per-pair quantities once, and only if some
+    requested name has a rule; ``rules[name](*basis())`` derives that
+    name's mask. Names without a rule are DE-9IM-false for the geometry
+    pair (all False). A sequence gives a (k, n_pairs) array, a single name
+    its k = 1 row."""
+    names = predicate_names(predicate)
+    out = np.zeros((len(names), n_pairs), dtype=bool)
+    live = [(k, rules[p]) for k, p in enumerate(names) if p in rules]
+    if live:
+        b = basis()
+        for k, rule in live:
+            out[k] = rule(*b)
+    return out[0] if isinstance(predicate, str) else out
+
+
+# point left vs areal right, from (crossing parity, on boundary)
+_POINT_RULES = {
+    "intersects": lambda inside, on_bd: inside | on_bd,
+    "covered_by": lambda inside, on_bd: inside | on_bd,
+    "within": lambda inside, on_bd: inside & ~on_bd,
+    "touches": lambda inside, on_bd: on_bd,
+}
+
+
 def points_in_polygon_pairs_predicate(
     px: np.ndarray,
     py: np.ndarray,
     pg: PolygonArray,
     pt_idx: np.ndarray,
     poly_row_idx: np.ndarray,
-    predicate: str = "intersects",
+    predicate="intersects",
 ) -> np.ndarray:
     """Full point-left predicate vocabulary vs areal right (reference
     sfilter.py:67-134; the within->inverse-contains rewrite at :46-62 is
     computed directly here): 'intersects' / 'covered_by' are
     boundary-inclusive PIP, 'within' is strict interior, 'touches' is
     exactly-on-boundary; 'contains' / 'covers' / 'overlaps' / 'crosses'
-    are DE-9IM-false for a point left against an areal right."""
-    if predicate in ("contains", "covers", "overlaps", "crosses"):
-        return np.zeros(len(pt_idx), dtype=bool)
-    inside, on_bd = _pip_pairs_masks(px, py, pg, pt_idx, poly_row_idx)
-    if predicate in ("intersects", "covered_by"):
-        return inside | on_bd
-    if predicate == "within":
-        return inside & ~on_bd
-    if predicate == "touches":
-        return on_bd
-    raise ValueError(f"unknown predicate {predicate!r}")
+    are DE-9IM-false for a point left against an areal right.
+
+    ``predicate`` is one name (-> mask over pairs) or a sequence of names
+    (-> one mask row per name, all from one PIP pass)."""
+    return _predicate_masks(
+        predicate, len(pt_idx), _POINT_RULES,
+        lambda: _pip_pairs_masks(px, py, pg, pt_idx, poly_row_idx))
+
+
+# rect x rect pairs, from the interval overlaps and containments
+_RECT_RULES = {
+    "intersects": lambda ix, iy, l_in_r, r_in_l: (ix >= 0) & (iy >= 0),
+    "touches": lambda ix, iy, l_in_r, r_in_l: (
+        (ix >= 0) & (iy >= 0) & ((ix == 0) | (iy == 0))),
+    "overlaps": lambda ix, iy, l_in_r, r_in_l: (
+        (ix > 0) & (iy > 0) & ~l_in_r & ~r_in_l),
+    # covers == contains and within == covered_by for positive-area rects
+    "covers": lambda ix, iy, l_in_r, r_in_l: r_in_l,
+    "contains": lambda ix, iy, l_in_r, r_in_l: r_in_l,
+    "within": lambda ix, iy, l_in_r, r_in_l: l_in_r,
+    "covered_by": lambda ix, iy, l_in_r, r_in_l: l_in_r,
+}
+
+
+def _rect_pair_basis(L: np.ndarray, R: np.ndarray):
+    """(ix, iy, l_in_r, r_in_l) of (n, 4) left/right box pairs; ix/iy
+    are the signed intersection extents (>= 0: closed boxes meet)."""
+    ix = np.minimum(L[:, 2], R[:, 2]) - np.maximum(L[:, 0], R[:, 0])
+    iy = np.minimum(L[:, 3], R[:, 3]) - np.maximum(L[:, 1], R[:, 1])
+    l_in_r = ((L[:, 0] >= R[:, 0]) & (L[:, 2] <= R[:, 2])
+              & (L[:, 1] >= R[:, 1]) & (L[:, 3] <= R[:, 3]))
+    r_in_l = ((R[:, 0] >= L[:, 0]) & (R[:, 2] <= L[:, 2])
+              & (R[:, 1] >= L[:, 1]) & (R[:, 3] <= L[:, 3]))
+    return ix, iy, l_in_r, r_in_l
+
+
+# general pairs, from the closure-intersect flag and the boolean areas
+# (NaN where a pair does not meet or the area was not needed)
+_AREA_RULES = {
+    "intersects": lambda hit, eps, amin, ai, d_lr, d_rl: hit,
+    "touches": lambda hit, eps, amin, ai, d_lr, d_rl: hit & (ai <= eps),
+    "overlaps": lambda hit, eps, amin, ai, d_lr, d_rl: (
+        hit & (ai > eps) & (ai < amin - eps)),
+    "covers": lambda hit, eps, amin, ai, d_lr, d_rl: hit & (d_rl <= eps),
+    "contains": lambda hit, eps, amin, ai, d_lr, d_rl: (
+        hit & (d_rl <= eps) & (ai > eps)),
+    "covered_by": lambda hit, eps, amin, ai, d_lr, d_rl: hit & (d_lr <= eps),
+    "within": lambda hit, eps, amin, ai, d_lr, d_rl: (
+        hit & (d_lr <= eps) & (ai > eps)),
+}
+# which boolean areas each name reads: intersection, left \ right,
+# right \ left. touches / overlaps read the intersection of every pair
+# that meets; within / contains only where their containment holds.
+_AREA_NEEDS = {
+    "touches": ("ai",), "overlaps": ("ai",), "covers": ("d_rl",),
+    "contains": ("d_rl",), "covered_by": ("d_lr",), "within": ("d_lr",),
+}
+
+
+def _area_pair_basis(left_pg: PolygonArray, right_pg: PolygonArray,
+                     qi: np.ndarray, pi: np.ndarray, names: tuple):
+    """(hit, eps, amin, ai, d_lr, d_rl) per general pair: the exact
+    closure-intersect flag, then for hit pairs only the scanline boolean
+    areas some name in ``names`` reads, each computed once."""
+    from . import booleans as B
+
+    hit = polygons_intersect_pairs(left_pg, right_pg, qi, pi)
+    need = {a for p in names for a in _AREA_NEEDS.get(p, ())}
+    ai_if_contained = bool({"within", "contains"} & set(names))
+    eps, amin, ai, d_lr, d_rl = (np.full(len(qi), np.nan) for _ in range(5))
+    for j in np.nonzero(hit)[0] if need else ():
+        ra, ha = B.ringset_of_row(left_pg, int(qi[j]))
+        rb, hb = B.ringset_of_row(right_pg, int(pi[j]))
+        aa = B.ringset_area(ra, ha)
+        ab = B.ringset_area(rb, hb)
+        eps[j] = 1e-9 * max(1.0, aa, ab)
+        amin[j] = min(aa, ab)
+        if "d_lr" in need:
+            d_lr[j] = B.boolean_area(ra, rb, "difference", ha, hb)
+        if "d_rl" in need:
+            d_rl[j] = B.boolean_area(rb, ra, "difference", hb, ha)
+        if "ai" in need or (ai_if_contained and (d_lr[j] <= eps[j]
+                                                 or d_rl[j] <= eps[j])):
+            ai[j] = B.boolean_area(ra, rb, "intersection", ha, hb)
+    return hit, eps, amin, ai, d_lr, d_rl
 
 
 def polygon_predicate_pairs(
@@ -282,7 +405,7 @@ def polygon_predicate_pairs(
     right_pg: PolygonArray,
     qi: np.ndarray,
     pi: np.ndarray,
-    predicate: str = "intersects",
+    predicate="intersects",
 ) -> np.ndarray:
     """Areal×areal predicate vocabulary for candidate (left-row,
     right-row) pairs (reference sfilter.py:67-134 semantics): built on
@@ -299,76 +422,32 @@ def polygon_predicate_pairs(
                    computed directly
       crosses    : always False for area×area (DE-9IM dimension rule)
 
-    Zero-tests use a relative epsilon on the snapped scanline areas."""
-    if predicate == "crosses":
-        return np.zeros(len(qi), dtype=bool)
-    if predicate not in ("intersects", "touches", "overlaps", "covers",
-                         "contains", "within", "covered_by"):
-        raise ValueError(f"unknown predicate {predicate!r}")
-    from . import booleans as B
-
+    Zero-tests use a relative epsilon on the snapped scanline areas.
+    ``predicate`` is one name (-> mask over pairs) or a sequence of names
+    (-> one mask row per name); either way each pair's interval
+    quantities or boolean areas are computed once."""
+    names = predicate_names(predicate)
     # axis-rect fast path (same special case the clip kernels use): both
     # sides plain rectangles -> pure vectorized interval arithmetic. For
     # rect×rect pairs the caller's bbox-overlap candidates ARE closure
     # intersections, so the SAT/exact intersect prefilter is skipped for
     # them — at dense coverage that prefilter dominated the whole pass
     # (289 s -> seconds on the sf0.1 box fixture).
-    lrect = detect_axis_rects(left_pg)
-    rrect = detect_axis_rects(right_pg)
-    rectpair = lrect[qi] & rrect[pi]
-    out = np.zeros(len(qi), dtype=bool)
+    rectpair = detect_axis_rects(left_pg)[qi] & detect_axis_rects(right_pg)[pi]
+    out = np.zeros((len(names), len(qi)), dtype=bool)
     jf = np.nonzero(rectpair)[0]
     if len(jf):
-        L = polygon_bounds(left_pg)[qi[jf]]
-        R = polygon_bounds(right_pg)[pi[jf]]
-        ix = np.minimum(L[:, 2], R[:, 2]) - np.maximum(L[:, 0], R[:, 0])
-        iy = np.minimum(L[:, 3], R[:, 3]) - np.maximum(L[:, 1], R[:, 1])
-        ov = (ix >= 0) & (iy >= 0)  # closed-box closure intersection
-        l_in_r = ((L[:, 0] >= R[:, 0]) & (L[:, 2] <= R[:, 2])
-                  & (L[:, 1] >= R[:, 1]) & (L[:, 3] <= R[:, 3]))
-        r_in_l = ((R[:, 0] >= L[:, 0]) & (R[:, 2] <= L[:, 2])
-                  & (R[:, 1] >= L[:, 1]) & (R[:, 3] <= L[:, 3]))
-        if predicate == "intersects":
-            out[jf] = ov
-        elif predicate == "touches":
-            out[jf] = ov & ((ix == 0) | (iy == 0))
-        elif predicate == "overlaps":
-            out[jf] = (ix > 0) & (iy > 0) & ~l_in_r & ~r_in_l
-        elif predicate in ("covers", "contains"):
-            # identical for positive-area rectangles
-            out[jf] = r_in_l
-        else:  # within / covered_by
-            out[jf] = l_in_r
-    gen = ~rectpair
-    if not gen.any():
-        return out
-    gidx = np.nonzero(gen)[0]
-    cand_g = polygons_intersect_pairs(left_pg, right_pg, qi[gidx], pi[gidx])
-    if predicate == "intersects":
-        out[gidx] = cand_g
-        return out
-    for j in gidx[np.nonzero(cand_g)[0]]:
-        ra, ha = B.ringset_of_row(left_pg, int(qi[j]))
-        rb, hb = B.ringset_of_row(right_pg, int(pi[j]))
-        aa = B.ringset_area(ra, ha)
-        ab = B.ringset_area(rb, hb)
-        eps = 1e-9 * max(1.0, aa, ab)
-        if predicate == "touches":
-            out[j] = B.boolean_area(ra, rb, "intersection", ha, hb) <= eps
-        elif predicate == "overlaps":
-            ai = B.boolean_area(ra, rb, "intersection", ha, hb)
-            out[j] = eps < ai < min(aa, ab) - eps
-        elif predicate in ("covers", "contains"):
-            if B.boolean_area(rb, ra, "difference", hb, ha) <= eps:
-                out[j] = (predicate == "covers"
-                          or B.boolean_area(ra, rb, "intersection",
-                                            ha, hb) > eps)
-        else:  # within / covered_by
-            if B.boolean_area(ra, rb, "difference", ha, hb) <= eps:
-                out[j] = (predicate == "covered_by"
-                          or B.boolean_area(ra, rb, "intersection",
-                                            ha, hb) > eps)
-    return out
+        out[:, jf] = _predicate_masks(
+            names, len(jf), _RECT_RULES,
+            lambda: _rect_pair_basis(polygon_bounds(left_pg)[qi[jf]],
+                                     polygon_bounds(right_pg)[pi[jf]]))
+    gidx = np.nonzero(~rectpair)[0]
+    if len(gidx):
+        out[:, gidx] = _predicate_masks(
+            names, len(gidx), _AREA_RULES,
+            lambda: _area_pair_basis(left_pg, right_pg, qi[gidx], pi[gidx],
+                                     names))
+    return out[0] if isinstance(predicate, str) else out
 
 
 def points_in_one_polygon(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray]) -> np.ndarray:
@@ -1355,36 +1434,25 @@ def _seg_boundary_ts(p1: np.ndarray, p2: np.ndarray,
     return np.concatenate(ts)
 
 
-def lines_in_polygon_pairs_predicate(
-    la,
-    pg: PolygonArray,
-    qi: np.ndarray,
-    pi: np.ndarray,
-    predicate: str = "intersects",
-) -> np.ndarray:
-    """Line-left predicate vocabulary vs areal rights for candidate
-    (line-row, polygon-row) pairs, full DE-9IM semantics:
+# line left vs areal right, from what the line meets: the polygon's
+# interior, its exterior, its boundary
+_LINE_RULES = {
+    "intersects": lambda i, e, b: i | b,
+    "crosses": lambda i, e, b: i & e,
+    "within": lambda i, e, b: i & ~e,
+    "covered_by": lambda i, e, b: (i | b) & ~e,
+    "touches": lambda i, e, b: b & ~i,
+}
 
-      intersects : any closure contact
-      crosses    : line interior meets BOTH the polygon interior and its
-                   exterior (the dimension pair where crosses is real)
-      within     : no point in the exterior AND some point in the interior
-      covered_by : no point in the exterior (a line lying entirely on the
-                   boundary is covered_by but NOT within — GEOS split)
-      touches    : boundary contact only, interior never entered
-      contains / covers / overlaps : always False (dimension rule)
 
-    Kernel: each line segment is split at its boundary-hit parameters;
-    sub-segment midpoints classify strict-inside / on-boundary / outside
-    (even-odd over all rings, holes correct)."""
-    if predicate in ("contains", "covers", "overlaps"):
-        return np.zeros(len(qi), dtype=bool)
-    if predicate not in ("intersects", "crosses", "within", "covered_by",
-                         "touches"):
-        raise ValueError(f"unknown predicate {predicate!r}")
+def _line_pair_basis(la, pg: PolygonArray, qi: np.ndarray, pi: np.ndarray):
+    """(has_interior, has_exterior, has_boundary) per (line-row,
+    polygon-row) pair: each line segment is split at its boundary-hit
+    parameters and the sub-segment midpoints classify strict-inside /
+    on-boundary / outside (even-odd over all rings, holes correct)."""
     from . import booleans as B
 
-    out = np.zeros(len(qi), dtype=bool)
+    has = np.zeros((3, len(qi)), dtype=bool)
     ring_cache: dict[int, tuple] = {}
     for j in range(len(qi)):
         lrow = int(qi[j])
@@ -1420,30 +1488,48 @@ def lines_in_polygon_pairs_predicate(
             else:
                 continue
             break
-        if predicate == "intersects":
-            out[j] = has_int or has_bd
-        elif predicate == "crosses":
-            out[j] = has_int and has_ext
-        elif predicate == "within":
-            out[j] = has_int and not has_ext
-        elif predicate == "covered_by":
-            out[j] = (has_int or has_bd) and not has_ext
-        else:  # touches
-            out[j] = has_bd and not has_int
-    return out
+        has[:, j] = has_int, has_ext, has_bd
+    return has
+
+
+def lines_in_polygon_pairs_predicate(
+    la,
+    pg: PolygonArray,
+    qi: np.ndarray,
+    pi: np.ndarray,
+    predicate="intersects",
+) -> np.ndarray:
+    """Line-left predicate vocabulary vs areal rights for candidate
+    (line-row, polygon-row) pairs, full DE-9IM semantics:
+
+      intersects : any closure contact
+      crosses    : line interior meets BOTH the polygon interior and its
+                   exterior (the dimension pair where crosses is real)
+      within     : no point in the exterior AND some point in the interior
+      covered_by : no point in the exterior (a line lying entirely on the
+                   boundary is covered_by but NOT within — GEOS split)
+      touches    : boundary contact only, interior never entered
+      contains / covers / overlaps : always False (dimension rule)
+
+    ``predicate`` is one name (-> mask over pairs) or a sequence of names
+    (-> one mask row per name, all from one classification pass)."""
+    return _predicate_masks(predicate, len(qi), _LINE_RULES,
+                            lambda: _line_pair_basis(la, pg, qi, pi))
 
 
 def line_bounds(la) -> np.ndarray:
-    """(n, 4) per-row bounding boxes of a LineArray (rows' coords are
-    contiguous, so one reduceat pass per extreme)."""
+    """(n, 4) per-row bounding boxes of a LineArray; NaN for a row with
+    no coordinates (as polygon_bounds). Rows' coords are contiguous, so
+    one reduceat pass per extreme over the non-empty rows."""
     n = len(la)
-    out = np.empty((n, 4), dtype=np.float64)
+    out = np.full((n, 4), np.nan, dtype=np.float64)
     starts = la.line_offsets[la.geom_offsets[:-1]]
-    if len(la.coords) == 0 or n == 0:
-        out[:] = 0
-        return out
-    out[:, 0] = np.minimum.reduceat(la.coords[:, 0], starts)
-    out[:, 1] = np.minimum.reduceat(la.coords[:, 1], starts)
-    out[:, 2] = np.maximum.reduceat(la.coords[:, 0], starts)
-    out[:, 3] = np.maximum.reduceat(la.coords[:, 1], starts)
+    stops = la.line_offsets[la.geom_offsets[1:]]
+    full = stops > starts
+    if full.any():
+        s = starts[full]
+        out[full, 0] = np.minimum.reduceat(la.coords[:, 0], s)
+        out[full, 1] = np.minimum.reduceat(la.coords[:, 1], s)
+        out[full, 2] = np.maximum.reduceat(la.coords[:, 0], s)
+        out[full, 3] = np.maximum.reduceat(la.coords[:, 1], s)
     return out

@@ -17,7 +17,9 @@ complement; split returns a matched flag) and the sjoin-pairs projection of
   (left_id, right_id) — the halo-dedup discipline of the reference's
   ``gridloop`` (bounds.py:16-173).
 
-Predicate: 'intersects' (boundary-inclusive), the reference default.
+Predicates: the reference's vocabulary (geo.kernels.PREDICATES), default
+'intersects' (boundary-inclusive). ``sfilter`` takes one name or, in split
+mode, a sequence of names answered from one candidate pass.
 """
 
 from __future__ import annotations
@@ -48,56 +50,27 @@ class _BroadcastIndex:
         self.bounds = kernels.polygon_bounds(self.pg)
         self.tree = STRtree(self.bounds)
 
-    def match_points(self, px: np.ndarray, py: np.ndarray,
-                     predicate: str = "intersects"):
-        """(pt_idx, poly_idx) exact-match pairs for points."""
+    def match_points(self, px: np.ndarray, py: np.ndarray):
+        """(pt_idx, poly_idx) 'intersects' pairs for points."""
         qboxes = np.stack([px, py, px, py], axis=1).astype(np.float64)
         qi, pi = self.tree.query_bbox(qboxes)
         if len(qi) == 0:
             return qi, pi
         keep = kernels.points_in_polygon_pairs_predicate(
             px.astype(np.float64), py.astype(np.float64), self.pg, qi, pi,
-            predicate,
+            "intersects",
         )
         return qi[keep], pi[keep]
 
-    def match_polygons(self, left_pg: wkb.PolygonArray,
-                       predicate: str = "intersects"):
+    def match_polygons(self, left_pg: wkb.PolygonArray):
+        """(left_idx, poly_idx) 'intersects' pairs for polygons."""
         lb = kernels.polygon_bounds(left_pg)
         qi, pi = self.tree.query_bbox(lb)
         if len(qi) == 0:
             return qi, pi
         keep = kernels.polygon_predicate_pairs(
-            left_pg, self.pg, qi, pi, predicate)
+            left_pg, self.pg, qi, pi, "intersects")
         return qi[keep], pi[keep]
-
-
-class PIPFilter:
-    """Actor-pool stage: point-in-polygon semi/anti/split filter.
-
-    State (decoded polygons + STRtree) is built once per actor in
-    ``__init__``; ``__call__`` handles one Arrow batch, fully vectorized.
-    """
-
-    def __init__(self, right_ref, mode: Mode = "semi", x_col="px", y_col="py",
-                 predicate: str = "intersects"):
-        self.idx = _BroadcastIndex(right_ref)
-        self.mode = mode
-        self.x_col = x_col
-        self.y_col = y_col
-        self.predicate = predicate
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        px = batch[self.x_col].to_numpy(zero_copy_only=False)
-        py = batch[self.y_col].to_numpy(zero_copy_only=False)
-        qi, _ = self.idx.match_points(px, py, self.predicate)
-        matched = np.zeros(len(batch), dtype=bool)
-        matched[qi] = True  # np.unique-style dedup: any match keeps the row
-        if self.mode == "semi":
-            return batch.filter(pa.array(matched))
-        if self.mode == "anti":
-            return batch.filter(pa.array(~matched))
-        return batch.append_column("matched", pa.array(matched))
 
 
 class PIPJoin:
@@ -123,28 +96,6 @@ class PIPJoin:
         return left
 
 
-class PolyPolyFilter:
-    """Polygon-left semi/anti/split filter against broadcast polygons."""
-
-    def __init__(self, right_ref, mode: Mode = "semi", wkb_col="geometry_wkb",
-                 predicate: str = "intersects"):
-        self.idx = _BroadcastIndex(right_ref)
-        self.mode = mode
-        self.wkb_col = wkb_col
-        self.predicate = predicate
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        left_pg = wkb.decode_polygons(batch[self.wkb_col])
-        qi, _ = self.idx.match_polygons(left_pg, self.predicate)
-        matched = np.zeros(len(batch), dtype=bool)
-        matched[qi] = True
-        if self.mode == "semi":
-            return batch.filter(pa.array(matched))
-        if self.mode == "anti":
-            return batch.filter(pa.array(~matched))
-        return batch.append_column("matched", pa.array(matched))
-
-
 class PolyPolyPairs:
     """Polygon-left inner join pairs (left id cols × right cols)."""
 
@@ -164,38 +115,97 @@ class PolyPolyPairs:
         return left
 
 
-class LineFilter:
-    """Actor-pool stage: LINE-left semi/anti/split filter against the
-    broadcast areal right — the geometry kind where ``crosses`` is a real
-    predicate (kernels.lines_in_polygon_pairs_predicate)."""
+def _left_points(cols):
+    px, py = (c.to_numpy(zero_copy_only=False).astype(np.float64) for c in cols)
+    return (px, py), np.stack([px, py, px, py], axis=1)
 
-    def __init__(self, right_ref, mode: Mode = "semi", wkb_col="geometry_wkb",
-                 predicate: str = "intersects"):
+
+def _left_polygons(cols):
+    pg = wkb.decode_polygons(cols[0])
+    return (pg,), kernels.polygon_bounds(pg)
+
+
+def _left_lines(cols):
+    la = wkb.decode_lines(cols[0])
+    return (la,), kernels.line_bounds(la)
+
+
+# left_kind -> (decode: the kernel's left arguments and their (n, 4)
+# bounds from the left's geometry columns, predicate kernel in geo.kernels).
+# The kernel is looked up by name when a filter is built, so wrappers put
+# on geo.kernels in a worker process apply.
+_LEFT_KINDS = {
+    "point": (_left_points, "points_in_polygon_pairs_predicate"),
+    "polygon": (_left_polygons, "polygon_predicate_pairs"),
+    "line": (_left_lines, "lines_in_polygon_pairs_predicate"),
+}
+
+
+def _match_masks(decode, kernel, left_cols, right_pg, tree, predicate):
+    """(k, n_left) bool: left row i satisfies predicate name k against
+    some right geometry — one STRtree query, one kernel call."""
+    left, boxes = decode(left_cols)
+    names = kernels.predicate_names(predicate)
+    matched = np.zeros((len(names), len(boxes)), dtype=bool)
+    qi, pi = tree.query_bbox(boxes)
+    if len(qi):
+        masks = kernel(*left, right_pg, qi, pi, predicate)
+        k, pair = np.nonzero(np.reshape(masks, (len(names), len(qi))))
+        matched[k, qi[pair]] = True  # any match keeps the row
+    return matched
+
+
+class SFilter:
+    """Actor-pool stage: semi/anti/split filter of point, polygon or line
+    lefts against the broadcast polygons.
+
+    State (decoded polygons + STRtree) is built once per actor in
+    ``__init__``; ``__call__`` handles one Arrow batch, fully vectorized.
+    ``predicate`` is one name, or (split mode) a sequence of names that
+    each get a ``matched_<name>`` column from the same candidate pairs."""
+
+    def __init__(self, right_ref, mode: Mode = "semi",
+                 left_kind: str = "point", predicate="intersects",
+                 x_col="px", y_col="py", wkb_col="geometry_wkb"):
         self.idx = _BroadcastIndex(right_ref)
+        self.decode, kernel = _LEFT_KINDS[left_kind]
+        self.kernel = getattr(kernels, kernel)
+        self.cols = (x_col, y_col) if left_kind == "point" else (wkb_col,)
         self.mode = mode
-        self.wkb_col = wkb_col
         self.predicate = predicate
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        la = wkb.decode_lines(batch[self.wkb_col].to_numpy(zero_copy_only=False))
-        lb = kernels.line_bounds(la)
-        qi, pi = self.idx.tree.query_bbox(lb)
-        if len(qi):
-            keep = kernels.lines_in_polygon_pairs_predicate(
-                la, self.idx.pg, qi, pi, self.predicate)
-            qi = qi[keep]
-        matched = np.zeros(len(batch), dtype=bool)
-        matched[qi] = True
+        matched = _match_masks(
+            self.decode, self.kernel, [batch[c] for c in self.cols],
+            self.idx.pg, self.idx.tree, self.predicate)
         if self.mode == "semi":
-            return batch.filter(pa.array(matched))
+            return batch.filter(pa.array(matched[0]))
         if self.mode == "anti":
-            return batch.filter(pa.array(~matched))
-        return batch.append_column("matched", pa.array(matched))
+            return batch.filter(pa.array(~matched[0]))
+        if isinstance(self.predicate, str):
+            return batch.append_column("matched", pa.array(matched[0]))
+        for name, m in zip(self.predicate, matched):
+            batch = batch.append_column(f"matched_{name}", pa.array(m))
+        return batch
 
 
 def broadcast_table(table: pa.Table):
     """ray.put the small side once; pass the ref into actor pools."""
     return ray.put(table)
+
+
+def _check_predicate(predicate, mode, modes):
+    """Plan-time check of an sfilter's mode and predicate name(s); returns
+    the predicate as one name or a tuple of names."""
+    if mode not in modes:
+        raise ValueError(f"mode must be one of {modes}, got {mode!r}")
+    names = kernels.predicate_names(predicate)
+    if isinstance(predicate, str):
+        return predicate
+    if mode != "split":
+        raise ValueError(
+            f"a predicate sequence needs mode='split', got mode={mode!r}")
+    return names
 
 
 def sfilter(
@@ -206,23 +216,33 @@ def sfilter(
     concurrency=None,
     batch_size: int = 32768,
     nrows=None,
-    predicate: str = "intersects",
+    predicate="intersects",
 ):
     """Spatial semi/anti/split filter of a Dataset against a small polygon
     table (broadcast plan). ``left`` must carry px/py (points) or
-    geometry_wkb (polygons). ``nrows``: optional left row-count hint to
-    size the actor pool (see pool.default_pool). ``predicate``: the full
-    reference vocabulary (sfilter.py:67-134) — intersects / within /
+    geometry_wkb (polygons, lines). ``nrows``: optional left row-count
+    hint to size the actor pool (see pool.default_pool).
+
+    ``predicate``: a name from the full reference vocabulary
+    (sfilter.py:67-134, geo.kernels.PREDICATES) — intersects / within /
     touches / overlaps / covers / contains / covered_by / crosses; see
-    geo.kernels.points_in_polygon_pairs_predicate and
-    polygon_predicate_pairs for the per-kind semantics."""
+    geo.kernels.points_in_polygon_pairs_predicate,
+    lines_in_polygon_pairs_predicate and polygon_predicate_pairs for the
+    per-kind semantics. With ``mode='split'`` it may also be a sequence
+    of names: every left row is kept and gets one bool column
+    ``matched_<name>`` per name, all computed from one STRtree query and
+    one kernel pass (a single name adds the column ``matched``). Bad
+    names, an empty or duplicate sequence, or a sequence outside split
+    mode raise ValueError here, before anything executes."""
+    predicate = _check_predicate(predicate, mode, ("semi", "anti", "split"))
+    if left_kind not in _LEFT_KINDS:
+        raise ValueError(f"unknown left_kind {left_kind!r}")
     ref = broadcast_table(right_table)
-    cls = {"point": PIPFilter, "polygon": PolyPolyFilter,
-           "line": LineFilter}[left_kind]
     return broadcast_map_batches(
         left,
-        cls,
+        SFilter,
         fn_constructor_kwargs={"right_ref": ref, "mode": mode,
+                               "left_kind": left_kind,
                                "predicate": predicate},
         batch_size=batch_size,
         concurrency=concurrency,
@@ -784,30 +804,13 @@ def focal_hotspots(points_ds, cell_size: int, x_col: str = "px",
 # ---------------------------------------------------------------------------
 
 
-def _tag_polys_generic(batch: pa.Table, res: int, id_col: str,
-                       side: int) -> pa.Table:
-    """(cell, side, gid, geometry_wkb) rows — each polygon replicated to
-    every covering cell, full geometry riding along (predicates need the
-    whole shape in every shared cell)."""
-    pg = wkb.decode_polygons(batch["geometry_wkb"])
-    b = kernels.polygon_bounds(pg)
-    rows, cell = cells.cover_bbox(
-        b[:, 0], b[:, 1], b[:, 2] + 1e-9, b[:, 3] + 1e-9, res)
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[rows]
-    return pa.table({
-        "cell": pa.array(cell, pa.int64()),
-        "side": pa.array(np.full(len(rows), side, np.int8), pa.int8()),
-        "gid": pa.array(ids, pa.int64()),
-        "geometry_wkb": batch["geometry_wkb"].take(pa.array(rows, pa.int64())),
-    })
-
-
-def _tag_lines_generic(batch: pa.Table, res: int, id_col: str,
-                       side: int) -> pa.Table:
-    """(cell, side, gid, geometry_wkb) rows for LINE lefts — bbox-cover
-    replication, the line sibling of _tag_polys_generic."""
-    la = wkb.decode_lines(batch["geometry_wkb"].to_numpy(zero_copy_only=False))
-    b = kernels.line_bounds(la)
+def _tag_generic(batch: pa.Table, res: int, id_col: str, side: int,
+                 kind: str) -> pa.Table:
+    """(cell, side, gid, geometry_wkb) rows — each polygon or line
+    replicated to every cell its bbox covers, full geometry riding along
+    (predicates need the whole shape in every shared cell)."""
+    decode, _ = _LEFT_KINDS[kind]
+    _, b = decode([batch["geometry_wkb"]])
     rows, cell = cells.cover_bbox(
         b[:, 0], b[:, 1], b[:, 2] + 1e-9, b[:, 3] + 1e-9, res)
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[rows]
@@ -825,12 +828,14 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
                  res: int = 7,
                  left_kind: Literal["polygon", "line"] = "polygon"):
     """Large×large predicate sfilter — the scale path when the right
-    side exceeds the broadcast envelope (PolyPolyFilter decodes the
-    whole right table and builds its STRtree in every actor; at 10^6+
-    geometries that init dominates). Both sides stream as Datasets,
-    co-partition by covering cell (ONE shuffle), and each cell kernel
-    evaluates the full predicate vocabulary via
-    kernels.polygon_predicate_pairs.
+    side exceeds the broadcast envelope (SFilter decodes the whole right
+    table and builds its STRtree in every actor; at 10^6+ geometries that
+    init dominates). Both sides stream as Datasets, co-partition by
+    covering cell (ONE shuffle), and each cell kernel evaluates one
+    predicate name of the full vocabulary with the broadcast plan's
+    left-kind table (polygon_predicate_pairs, or
+    lines_in_polygon_pairs_predicate for ``left_kind='line'``). Bad
+    names and modes raise ValueError here, before anything executes.
 
     Pair completeness: any pair satisfying any predicate has overlapping
     bboxes and therefore shares at least one covering cell; multi-cell
@@ -840,43 +845,30 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
     exchange narrow (same contract as clean_overlay_cell). An empty
     result (e.g. anti over an all-matching fixture) comes back as a
     schema-less empty Dataset — the known empty-map_groups quirk
-    (DEVNOTES). ``left_kind='line'`` runs the line predicate kernel
-    (lines_in_polygon_pairs_predicate) over linestring lefts instead."""
-    tag_left = (_tag_polys_generic if left_kind == "polygon"
-                else _tag_lines_generic)
+    (DEVNOTES)."""
+    _check_predicate(predicate, mode, ("semi", "anti"))
+    if left_kind not in ("polygon", "line"):
+        raise ValueError(f"sfilter_cell left_kind must be 'polygon' or "
+                         f"'line', got {left_kind!r}")
     lt = left_ds.map_batches(
-        lambda b: tag_left(b, res, left_id, 0),
+        lambda b: _tag_generic(b, res, left_id, 0, left_kind),
         batch_format="pyarrow")
     rt = right_ds.map_batches(
-        lambda b: _tag_polys_generic(b, res, right_id, 1),
+        lambda b: _tag_generic(b, res, right_id, 1, "polygon"),
         batch_format="pyarrow")
-
-    empty = pd.DataFrame({"gid": pd.Series([], dtype="int64")})
+    decode, kernel = _LEFT_KINDS[left_kind]
 
     def cell_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        sides = g["side"].to_numpy()
-        lmask = sides == 0
-        rmask = ~lmask
-        if not lmask.any() or not rmask.any():
-            return empty
-        rg = wkb.decode_polygons(g["geometry_wkb"].to_numpy()[rmask])
+        lmask = g["side"].to_numpy() == 0
+        geoms = g["geometry_wkb"].to_numpy()
+        if lmask.all() or not lmask.any():
+            return pd.DataFrame({"gid": pd.Series([], dtype="int64")})
+        rg = wkb.decode_polygons(geoms[~lmask])
         tree = STRtree(kernels.polygon_bounds(rg))
-        if left_kind == "polygon":
-            lg = wkb.decode_polygons(g["geometry_wkb"].to_numpy()[lmask])
-            qi, pi = tree.query_bbox(kernels.polygon_bounds(lg))
-            if not len(qi):
-                return empty
-            keep = kernels.polygon_predicate_pairs(lg, rg, qi, pi, predicate)
-        else:
-            lg = wkb.decode_lines(g["geometry_wkb"].to_numpy()[lmask])
-            qi, pi = tree.query_bbox(kernels.line_bounds(lg))
-            if not len(qi):
-                return empty
-            keep = kernels.lines_in_polygon_pairs_predicate(
-                lg, rg, qi, pi, predicate)
-        matched = np.unique(
-            g["gid"].to_numpy()[lmask].astype(np.int64)[qi[keep]])
-        return pd.DataFrame({"gid": matched})
+        matched = _match_masks(decode, getattr(kernels, kernel),
+                               [geoms[lmask]], rg, tree, predicate)[0]
+        gid = g["gid"].to_numpy()[lmask].astype(np.int64)
+        return pd.DataFrame({"gid": np.unique(gid[matched])})
 
     matched = (lt.union(rt).groupby("cell")
                .map_groups(cell_kernel, batch_format="pandas"))
@@ -901,8 +893,6 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
         return (matched.map_batches(add_sg(1), batch_format="pyarrow")
                 .groupby("sg")
                 .map_groups(distinct_ids, batch_format="pandas"))
-    if mode != "anti":
-        raise ValueError("sfilter_cell supports modes 'semi' and 'anti'")
 
     # anti: distinct left ids never matched — tag-union of the left id
     # universe (flag 0) with matched ids (flag 1), per-group max-flag test

@@ -183,24 +183,31 @@ def q_pip_pairs_cell(sf_dir: str):
     return out.map_batches(rename, batch_format="pyarrow")
 
 
+def _predicate_counts(split, preds) -> pa.Table:
+    """(predicate, n_kept) from a multi-predicate split sfilter: per name,
+    the rows its ``matched_<name>`` column keeps — what a semi sfilter
+    with that one name would count."""
+    cols = [f"matched_{p}" for p in preds]
+    df = split.select_columns(cols).to_pandas()
+    return pa.table({
+        "predicate": pa.array(list(preds), pa.string()),
+        "n_kept": pa.array([int(df[c].sum()) if c in df else 0
+                            for c in cols], pa.int64()),
+    })
+
+
 def q_pip_predicates(sf_dir: str):
     """Full point-left sfilter predicate vocabulary (reference
     sfilter.py:67-134) on one fixture: per predicate, the number of
     customer points kept by a semi-filter against the supplier diamonds.
     'intersects' is boundary-inclusive, 'within' strict interior,
     'touches' exactly on a diamond boundary — integer coords make the
-    boundary class populated and exactly SQL-expressible."""
-    n = _nrows(f"{sf_dir}/customer.parquet")
+    boundary class populated and exactly SQL-expressible. One split
+    sfilter answers all three names from one candidate pass."""
     preds = ("intersects", "within", "touches")
-    counts = [
-        spatial.sfilter(customers(sf_dir), suppliers_tbl(sf_dir),
-                        mode="semi", nrows=n, predicate=p).count()
-        for p in preds
-    ]
-    return pa.table({
-        "predicate": pa.array(list(preds), pa.string()),
-        "n_kept": pa.array(counts, pa.int64()),
-    })
+    return _predicate_counts(spatial.sfilter(
+        customers(sf_dir), suppliers_tbl(sf_dir), mode="split",
+        nrows=_nrows(f"{sf_dir}/customer.parquet"), predicate=preds), preds)
 
 
 SQL_PIP_PREDICATES = f"""
@@ -221,8 +228,9 @@ def q_sfilter_line_predicates(sf_dir: str):
     ``crosses`` is a REAL predicate (line interior meets both polygon
     interior and exterior). Horizontal integer segments derived from
     customer points are filtered against the supplier diamonds; per
-    predicate, the count of kept segments. Oracle: closed-form interval
-    arithmetic on the diamond's width at the segment's y."""
+    predicate, the count of kept segments (one split sfilter pass for
+    all five names). Oracle: closed-form interval arithmetic on the
+    diamond's width at the segment's y."""
     from .geo import wkb as W
 
     def stage(b: pa.Table) -> pa.Table:
@@ -240,18 +248,11 @@ def q_sfilter_line_predicates(sf_dir: str):
             "geometry_wkb": pa.array(list(out), pa.binary()),
         })
 
-    n = _nrows(f"{sf_dir}/customer.parquet")
     preds = ("intersects", "crosses", "within", "touches", "covered_by")
-    counts = []
-    for p in preds:
-        segs = customers(sf_dir).map_batches(stage, batch_format="pyarrow")
-        counts.append(spatial.sfilter(
-            segs, suppliers_tbl(sf_dir), mode="semi", left_kind="line",
-            nrows=n, predicate=p).count())
-    return pa.table({
-        "predicate": pa.array(list(preds), pa.string()),
-        "n_kept": pa.array(counts, pa.int64()),
-    })
+    segs = customers(sf_dir).map_batches(stage, batch_format="pyarrow")
+    return _predicate_counts(spatial.sfilter(
+        segs, suppliers_tbl(sf_dir), mode="split", left_kind="line",
+        nrows=_nrows(f"{sf_dir}/customer.parquet"), predicate=preds), preds)
 
 
 # Closed forms for a horizontal segment [x0,x1]xy0 vs diamond (sx,sy,r):
@@ -286,7 +287,7 @@ def q_sfilter_cell_within(sf_dir: str):
     """Predicate sfilter through the LARGE×LARGE cell co-partitioned
     plan (ops/spatial.sfilter_cell — neither side broadcast, one
     cell-keyed shuffle): distinct part keys whose box lies within some
-    orders box. Same result rows as the broadcast PolyPolyFilter path
+    orders box. Same result rows as the broadcast SFilter path
     (pinned in pytest); the oracle is interval containment."""
     return spatial.sfilter_cell(
         parts(sf_dir), orders_ds(sf_dir), left_id="p_partkey",
@@ -304,22 +305,15 @@ JOIN ({ORD_SQL}) o
 def q_sfilter_poly_predicates(sf_dir: str):
     """Areal×areal sfilter predicate vocabulary (touches / overlaps /
     within / covers — reference sfilter.py:67-134) counted per predicate
-    over part boxes vs orders boxes. The engine path runs the scanline
-    boolean engine's pair areas (geo/kernels.polygon_predicate_pairs);
-    the mod-4 integer box corners make exact edge/corner contact a
-    populated class; the oracle is closed-form interval arithmetic."""
-    n = _nrows(f"{sf_dir}/part.parquet")
+    over part boxes vs orders boxes, all four from one split sfilter
+    pass (one STRtree query, one mask column per predicate). The engine
+    path runs geo/kernels.polygon_predicate_pairs; the mod-4 integer box
+    corners make exact edge/corner contact a populated class; the oracle
+    is closed-form interval arithmetic."""
     preds = ("touches", "overlaps", "within", "covers")
-    counts = [
-        spatial.sfilter(parts(sf_dir), orders_tbl(sf_dir),
-                        mode="semi", left_kind="polygon",
-                        nrows=n, predicate=p).count()
-        for p in preds
-    ]
-    return pa.table({
-        "predicate": pa.array(list(preds), pa.string()),
-        "n_kept": pa.array(counts, pa.int64()),
-    })
+    return _predicate_counts(spatial.sfilter(
+        parts(sf_dir), orders_tbl(sf_dir), mode="split", left_kind="polygon",
+        nrows=_nrows(f"{sf_dir}/part.parquet"), predicate=preds), preds)
 
 
 SQL_SFILTER_POLY_PREDICATES = f"""

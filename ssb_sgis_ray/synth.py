@@ -260,7 +260,7 @@ def checkerboard_hosts(tile: int = TILE, n_tiles: int = 40) -> "pa.Table":
     return pa.table(
         {
             "host_id": pa.array(txs * 1000 + tys, pa.int64()),
-            "geometry_wkb": pa.array(list(geo), pa.binary()),
+            "geometry_wkb": geo,
         }
     )
 
@@ -350,22 +350,12 @@ def diamond_wkb(sx: np.ndarray, sy: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def box_wkb(minx, miny, maxx, maxy) -> np.ndarray:
-    n = len(minx)
-    out = np.empty(n, dtype=object)
-    ring = np.empty((n, 5, 2), dtype=np.float64)
-    ring[:, 0, 0] = minx
-    ring[:, 0, 1] = miny
-    ring[:, 1, 0] = maxx
-    ring[:, 1, 1] = miny
-    ring[:, 2, 0] = maxx
-    ring[:, 2, 1] = maxy
-    ring[:, 3, 0] = minx
-    ring[:, 3, 1] = maxy
-    ring[:, 4] = ring[:, 0]
-    for i in range(n):
-        out[i] = wkb.encode_polygon([ring[i]])
-    return out
+def box_wkb(minx, miny, maxx, maxy) -> pa.Array:
+    """Axis-aligned boxes -> pa.binary WKB POLYGON column (ring
+    (minx,miny) (maxx,miny) (maxx,maxy) (minx,maxy) closed), byte-equal
+    to wkb.encode_polygon of that ring."""
+    boxes = np.stack([minx, miny, maxx, maxy], axis=1).astype(np.float64)
+    return wkb.encode_boxes_arrow(boxes)
 
 
 def lshape_wkb(x0, y0, x1, y1, x2, y2) -> np.ndarray:
@@ -449,18 +439,14 @@ def add_part_boxes(batch: pa.Table) -> pa.Table:
     minx, miny, maxx, maxy = part_boxes(batch["p_partkey"].to_numpy(zero_copy_only=False))
     for name, col in zip(("minx", "miny", "maxx", "maxy"), (minx, miny, maxx, maxy)):
         batch = batch.append_column(name, pa.array(col, pa.int64()))
-    return batch.append_column(
-        "geometry_wkb", pa.array(box_wkb(minx, miny, maxx, maxy), pa.binary())
-    )
+    return batch.append_column("geometry_wkb", box_wkb(minx, miny, maxx, maxy))
 
 
 def add_orders_boxes(batch: pa.Table) -> pa.Table:
     minx, miny, maxx, maxy = orders_boxes(batch["o_orderkey"].to_numpy(zero_copy_only=False))
     for name, col in zip(("minx", "miny", "maxx", "maxy"), (minx, miny, maxx, maxy)):
         batch = batch.append_column(name, pa.array(col, pa.int64()))
-    return batch.append_column(
-        "geometry_wkb", pa.array(box_wkb(minx, miny, maxx, maxy), pa.binary())
-    )
+    return batch.append_column("geometry_wkb", box_wkb(minx, miny, maxx, maxy))
 
 
 def add_lineitem_points(batch: pa.Table) -> pa.Table:
@@ -508,16 +494,14 @@ def add_supplier_slivers(batch: pa.Table) -> pa.Table:
     geo = box_wkb(x0, y0, x0 + w, y0 + h)
     for name, col in zip(("tx", "ty", "w", "h"), (tx, ty, w, h)):
         batch = batch.append_column(name, pa.array(col, pa.int64()))
-    return batch.append_column("geometry_wkb", pa.array(list(geo), pa.binary()))
+    return batch.append_column("geometry_wkb", geo)
 
 
 def add_nation_mask(batch: pa.Table) -> pa.Table:
     minx, miny, maxx, maxy = nation_mask_rects(
         batch["n_nationkey"].to_numpy(zero_copy_only=False)
     )
-    return batch.append_column(
-        "geometry_wkb", pa.array(box_wkb(minx, miny, maxx, maxy), pa.binary())
-    )
+    return batch.append_column("geometry_wkb", box_wkb(minx, miny, maxx, maxy))
 
 
 def add_nation_diamonds(batch: pa.Table) -> pa.Table:
@@ -676,7 +660,7 @@ def add_part_box_pairs(batch: "pa.Table") -> "pa.Table":
     b = part_pair_boxes(batch["p_partkey"].to_numpy(zero_copy_only=False))
     for name, col in zip(("bminx", "bminy", "bmaxx", "bmaxy"), b):
         batch = batch.append_column(name, pa.array(col, pa.int64()))
-    return batch.append_column("wkb_b", pa.array(box_wkb(*b), pa.binary()))
+    return batch.append_column("wkb_b", box_wkb(*b))
 
 
 # --- line_merge chains -------------------------------------------------------

@@ -751,3 +751,163 @@ def test_line_predicate_pairs_vocabulary():
     for pred, exp in want.items():
         got = K.lines_in_polygon_pairs_predicate(la, pg, qi, pi, pred)
         np.testing.assert_array_equal(got, np.array(exp), err_msg=pred)
+
+
+def _mixed_polygons(part_keys, order_keys):
+    """Left: part boxes and L-shapes; right: order boxes, holed order
+    boxes and the part boxes themselves (equal pairs) — rect×rect pairs
+    and general (concave / holed) pairs in one candidate set."""
+    from ssb_sgis_ray import synth
+
+    half = len(part_keys) // 2
+    left = np.concatenate([
+        synth.box_wkb(*synth.part_boxes(part_keys[:half])).to_numpy(
+            zero_copy_only=False),
+        synth.lshape_wkb(*synth.part_lshapes(part_keys[half:])),
+    ])
+    right = np.concatenate([
+        synth.box_wkb(*synth.orders_boxes(order_keys)).to_numpy(
+            zero_copy_only=False),
+        synth.holed_box_wkb(*synth.orders_holed(order_keys)),
+        synth.box_wkb(*synth.part_boxes(part_keys)).to_numpy(
+            zero_copy_only=False),
+    ])
+    return wkb.decode_polygons(left), wkb.decode_polygons(right)
+
+
+def _assert_sequence_equals_singles(call, n_pairs):
+    masks = call(kernels.PREDICATES)
+    assert masks.shape == (len(kernels.PREDICATES), n_pairs)
+    for row, name in zip(masks, kernels.PREDICATES):
+        single = call(name)
+        assert single.shape == (n_pairs,)
+        np.testing.assert_array_equal(row, single, err_msg=name)
+    return masks
+
+
+def test_polygon_predicate_sequence_equals_single_calls():
+    left_pg, right_pg = _mixed_polygons(np.arange(1, 41), np.arange(1, 121))
+    qi, pi = STRtree(kernels.polygon_bounds(right_pg)).query_bbox(
+        kernels.polygon_bounds(left_pg))
+    rect = kernels.detect_axis_rects(left_pg)[qi] & \
+        kernels.detect_axis_rects(right_pg)[pi]
+    assert rect.any() and (~rect).any()  # both kernel legs are exercised
+    masks = _assert_sequence_equals_singles(
+        lambda p: kernels.polygon_predicate_pairs(left_pg, right_pg, qi, pi, p),
+        len(qi))
+    by = dict(zip(kernels.PREDICATES, masks))
+    for name in ("intersects", "touches", "overlaps", "within", "covers"):
+        assert (by[name] & ~rect).any(), name  # general leg populated
+    assert not by["crosses"].any()
+
+
+def test_point_predicate_sequence_equals_single_calls():
+    from ssb_sgis_ray import synth
+
+    sx, sy, r = synth.supplier_diamonds(np.arange(1, 31))
+    pg = wkb.decode_polygons(synth.diamond_wkb(sx, sy, r))
+    px, py = synth.customer_points(np.arange(1, 3001))
+    px, py = px.astype(np.float64), py.astype(np.float64)
+    qi, pi = STRtree(kernels.polygon_bounds(pg)).query_bbox(
+        np.stack([px, py, px, py], axis=1))
+    masks = _assert_sequence_equals_singles(
+        lambda p: kernels.points_in_polygon_pairs_predicate(
+            px, py, pg, qi, pi, p), len(qi))
+    assert masks[kernels.PREDICATES.index("within")].any()
+
+
+def test_line_predicate_sequence_equals_single_calls():
+    from ssb_sgis_ray import synth
+
+    keys = np.arange(1, 41)
+    rights = np.concatenate([
+        synth.diamond_wkb(*synth.supplier_diamonds(keys)),
+        synth.holed_box_wkb(*synth.orders_holed(keys)),
+    ])
+    pg = wkb.decode_polygons(rights)
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 36000, 400).astype(np.float64)
+    y = rng.integers(0, 36000, 400).astype(np.float64)
+    la = wkb.decode_lines(np.array(
+        [wkb.encode_linestring(np.array([[a - 300.0, b], [a + 300.0, b]]))
+         for a, b in zip(x, y)], dtype=object))
+    qi, pi = STRtree(kernels.polygon_bounds(pg)).query_bbox(
+        kernels.line_bounds(la))
+    masks = _assert_sequence_equals_singles(
+        lambda p: kernels.lines_in_polygon_pairs_predicate(la, pg, qi, pi, p),
+        len(qi))
+    assert masks[kernels.PREDICATES.index("crosses")].any()
+
+
+def test_predicate_kernels_zero_pairs_give_k_by_zero():
+    left_pg, right_pg = _mixed_polygons(np.arange(1, 5), np.arange(1, 5))
+    none = np.empty(0, dtype=np.int64)
+    names = ("touches", "within")
+    assert kernels.polygon_predicate_pairs(
+        left_pg, right_pg, none, none, names).shape == (2, 0)
+    assert kernels.polygon_predicate_pairs(
+        left_pg, right_pg, none, none, "touches").shape == (0,)
+    assert kernels.points_in_polygon_pairs_predicate(
+        np.zeros(1), np.zeros(1), right_pg, none, none, names).shape == (2, 0)
+
+
+@pytest.mark.parametrize("bad", ["crosss", "", (), ["within", "within"],
+                                 ["within", "Intersects"]])
+def test_predicate_kernels_reject_bad_names(bad):
+    """Every kernel validates its predicate argument before answering —
+    'crosss' used to come back as all-False from polygon_predicate_pairs
+    (its crosses short-cut ran before the name check)."""
+    left_pg, right_pg = _mixed_polygons(np.arange(1, 5), np.arange(1, 5))
+    qi = pi = np.zeros(1, dtype=np.int64)
+    la = wkb.decode_lines(np.array(
+        [wkb.encode_linestring(np.array([[0.0, 0.0], [1.0, 1.0]]))],
+        dtype=object))
+    with pytest.raises(ValueError):
+        kernels.polygon_predicate_pairs(left_pg, right_pg, qi, pi, bad)
+    with pytest.raises(ValueError):
+        kernels.points_in_polygon_pairs_predicate(
+            np.zeros(1), np.zeros(1), right_pg, qi, pi, bad)
+    with pytest.raises(ValueError):
+        kernels.lines_in_polygon_pairs_predicate(la, right_pg, qi, pi, bad)
+
+
+def _lines(rows):
+    """LineArray from rows given as lists of coordinate lists (an empty
+    list is an empty MULTILINESTRING row)."""
+    return wkb.decode_lines(np.array(
+        [wkb.encode_multilinestring([np.array(c, dtype=np.float64)
+                                     for c in row]) for row in rows],
+        dtype=object))
+
+
+def test_line_bounds_empty_middle_row():
+    """An empty row between two lines gets NaN bounds, not the next
+    row's first point."""
+    b = kernels.line_bounds(_lines([[[[0, 0], [2, 1]]], [],
+                                    [[[5, 5], [7, 9]]]]))
+    np.testing.assert_array_equal(b[0], [0, 0, 2, 1])
+    assert np.isnan(b[1]).all()
+    np.testing.assert_array_equal(b[2], [5, 5, 7, 9])
+
+
+def test_line_bounds_empty_last_row():
+    """An empty LAST row used to raise IndexError inside reduceat."""
+    b = kernels.line_bounds(_lines([[[[0, 0], [2, 1]], [[-1, 3], [0, 4]]],
+                                    []]))
+    np.testing.assert_array_equal(b[0], [-1, 0, 2, 4])
+    assert np.isnan(b[1]).all()
+
+
+def test_box_wkb_byte_equal_to_encode_polygon():
+    from ssb_sgis_ray import synth
+
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(-1e6, 1e6, (200, 2))
+    hi = lo + rng.uniform(0, 5e3, (200, 2))
+    lo[:50] = np.round(lo[:50])  # integer corners, as the fixtures use
+    got = synth.box_wkb(lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1])
+    assert isinstance(got, pa.Array) and got.type == pa.binary()
+    want = [wkb.encode_polygon([np.array(
+        [[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])])
+        for x0, y0, x1, y1 in zip(lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1])]
+    assert got.to_pylist() == want

@@ -841,7 +841,7 @@ def test_grouped_centroids_dedups_coincident_points(ray_session):
         {
             "rid": pa.array([1, 2, 3, 4], pa.int64()),
             "g": pa.array([1, 1, 1, 2], pa.int64()),
-            "geometry_wkb": pa.array(list(boxes), pa.binary()),
+            "geometry_wkb": boxes,
         }
     )
     out = dis.get_grouped_centroids(rd.from_arrow(t), by="g").to_pandas()
@@ -869,14 +869,14 @@ def test_diff_cell_covered_cell_fast_path(ray_session):
             "geometry_wkb": pa.array(
                 [
                     synth.box_wkb(np.array([50.0]), np.array([50.0]),
-                                  np.array([80.0]), np.array([80.0]))[0],
+                                  np.array([80.0]), np.array([80.0]))[0].as_py(),
                     synth.box_wkb(np.array([300.0]), np.array([300.0]),
-                                  np.array([700.0]), np.array([600.0]))[0],
+                                  np.array([700.0]), np.array([600.0]))[0].as_py(),
                     lshape,
                     synth.box_wkb(np.array([900.0]), np.array([400.0]),
-                                  np.array([1100.0]), np.array([500.0]))[0],
+                                  np.array([1100.0]), np.array([500.0]))[0].as_py(),
                     synth.box_wkb(np.array([5000.0]), np.array([5000.0]),
-                                  np.array([5010.0]), np.array([5010.0]))[0],
+                                  np.array([5010.0]), np.array([5010.0]))[0].as_py(),
                 ],
                 pa.binary(),
             ),

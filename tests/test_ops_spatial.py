@@ -1007,3 +1007,122 @@ def test_sfilter_cell_line_left_matches_broadcast(ray_session):
             left_kind="line").to_pandas()
         got = set(df["seg_id"]) if "seg_id" in df.columns else set()
         assert got == want, pred
+
+
+def _never_executed():
+    """A Dataset that fails if anything ever executes it."""
+    import ray.data as rd
+
+    def boom(b):
+        raise AssertionError("the Dataset was executed")
+
+    return rd.range(4).map_batches(boom, batch_format="pyarrow")
+
+
+@pytest.mark.parametrize("predicate, mode", [
+    ("intersect", "semi"),              # typo
+    ([], "split"),                      # empty sequence
+    (["within", "within"], "split"),    # duplicate
+    (["within", "touches"], "semi"),    # sequence outside split mode
+    ("within", "pairs"),                # not a filter mode
+])
+def test_sfilter_rejects_bad_predicates_at_plan_time(ray_session, predicate,
+                                                     mode):
+    """Bad predicate arguments raise ValueError in the driver when the
+    plan is built — before, a typo failed only inside a Ray worker."""
+    with pytest.raises(ValueError):
+        spatial.sfilter(_never_executed(), suppliers_table(), mode=mode,
+                        left_kind="polygon", predicate=predicate)
+
+
+@pytest.mark.parametrize("predicate, mode", [
+    ("withn", "semi"), (["within", "touches"], "semi"), ("within", "split"),
+])
+def test_sfilter_cell_rejects_bad_predicates_at_plan_time(ray_session,
+                                                          predicate, mode):
+    with pytest.raises(ValueError):
+        spatial.sfilter_cell(_never_executed(), _never_executed(),
+                             predicate=predicate, mode=mode)
+
+
+def _split_equals_single_calls(left_tbl, right, left_kind, key):
+    """sfilter(mode='split', predicate=PREDICATES) must keep every left row
+    and flag exactly the rows each single-name filter keeps; per name the
+    semi / anti / single-name split outputs are the matching rows. The
+    single-name filters run the filter stage in-process on the whole
+    table (one batch) to keep the test fast."""
+    import ray
+    import ray.data as rd
+
+    names = kernels.PREDICATES
+    split = spatial.sfilter(
+        rd.from_arrow(left_tbl).repartition(2), right, mode="split",
+        left_kind=left_kind, predicate=list(names)).to_pandas()
+    assert sorted(split[key]) == sorted(left_tbl[key].to_pylist())
+    ref = ray.put(right)
+    for name in names:
+        def run(mode):
+            return spatial.SFilter(ref, mode, left_kind, name)(left_tbl)
+
+        matched = run("split")["matched"].to_numpy(zero_copy_only=False)
+        assert run("semi").equals(left_tbl.filter(matched)), name
+        assert run("anti").equals(left_tbl.filter(~matched)), name
+        assert (set(split.loc[split[f"matched_{name}"], key])
+                == set(left_tbl[key].to_numpy()[matched])), name
+    return split
+
+
+def test_sfilter_sequence_equals_single_calls_polygon_left(ray_session):
+    """Polygon lefts against non-rect rights: L-shaped parts vs order
+    boxes, part boxes vs holed order boxes."""
+    # a slice: the general (non-rect) leg runs exact boolean areas per pair
+    parts_t = pq.read_table(f"{SF}/part.parquet",
+                            columns=["p_partkey"]).slice(0, 25)
+    orders_t = pq.read_table(f"{SF}/orders.parquet", columns=["o_orderkey"])
+    split = _split_equals_single_calls(
+        synth.add_part_lshapes(parts_t), synth.add_orders_boxes(orders_t),
+        "polygon", "p_partkey")
+    assert split["matched_overlaps"].any() and split["matched_touches"].any()
+    split = _split_equals_single_calls(
+        synth.add_part_boxes(parts_t), synth.add_orders_holed(orders_t),
+        "polygon", "p_partkey")
+    assert split["matched_overlaps"].any()
+
+
+def test_sfilter_sequence_equals_single_calls_point_and_line_left(
+        ray_session):
+    from ssb_sgis_ray.geo import wkb as W
+
+    sup = suppliers_table()
+    cust = synth.add_customer_points(
+        pq.read_table(f"{SF}/customer.parquet", columns=["c_custkey"]))
+    split = _split_equals_single_calls(cust, sup, "point", "c_custkey")
+    assert split["matched_within"].any()
+    rng = np.random.default_rng(7)
+    xy = rng.integers(0, 36000, (300, 2)).astype(np.float64)
+    segs = pa.table({
+        "seg_id": pa.array(np.arange(300), pa.int64()),
+        "geometry_wkb": pa.array(
+            [W.encode_linestring(np.array([[x - 200.0, y], [x + 200.0, y]]))
+             for x, y in xy], pa.binary()),
+    })
+    split = _split_equals_single_calls(segs, sup, "line", "seg_id")
+    assert split["matched_crosses"].any()
+
+
+def test_sfilter_sequence_zero_candidates(ray_session):
+    """A batch with no STRtree candidates keeps every row with all-False
+    mask columns (the kernel's (k, 0) case)."""
+    import ray.data as rd
+
+    far = rd.from_arrow(pa.table({
+        "c_custkey": pa.array([1, 2, 3], pa.int64()),
+        "px": pa.array([-10**7] * 3, pa.int64()),
+        "py": pa.array([-10**7] * 3, pa.int64()),
+    }))
+    names = ["intersects", "within", "touches"]
+    out = spatial.sfilter(far, suppliers_table(), mode="split",
+                          predicate=names).to_pandas()
+    assert list(out.columns) == (["c_custkey", "px", "py"]
+                                 + [f"matched_{n}" for n in names])
+    assert len(out) == 3 and not out[[f"matched_{n}" for n in names]].any().any()

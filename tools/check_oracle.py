@@ -11,10 +11,12 @@ driver's comparison). Usage:
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+# the checkout this file belongs to
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import duckdb
 import pandas as pd

@@ -13,9 +13,11 @@ Usage: python tools/sf1_plan_consistency.py [sf_dir]
 
 from __future__ import annotations
 
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# the checkout this file belongs to
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def canon(df):

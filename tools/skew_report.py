@@ -9,9 +9,11 @@ Usage: python tools/skew_report.py [sf_dir] [out_dir]
 from __future__ import annotations
 
 import json
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# the checkout this file belongs to
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main() -> None:

@@ -8,10 +8,12 @@ overlay_union_cell sat at 439 s, invisible, until the first full sweep).
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+# the checkout this file belongs to
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main():
