@@ -996,14 +996,6 @@ def triangle_count(edges_ds, broadcast_limit: int = 20_000_000):
         edges_ds.map_batches(canon, batch_format="pyarrow")).materialize()
     n = cedges.count()
 
-    def ids_fit_uint31(t: pa.Table) -> bool:
-        if t.num_rows == 0:
-            return True
-        import pyarrow.compute as pc
-
-        return (pc.min(t["id_a"]).as_py() >= 0
-                and pc.max(t["id_b"]).as_py() < 1 << 31)
-
     if n <= broadcast_limit:
         ct = cedges.to_pandas()
         a = ct["id_a"].to_numpy(np.int64)

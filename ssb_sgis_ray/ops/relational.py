@@ -856,14 +856,17 @@ def salted_join(left_ds, right_ds, *, on: str, right_on: str | None = None,
     mult = np.int64(salt)
 
     def _guard_range(k: np.ndarray) -> None:
-        # k * salt + sid must stay inside int64: |key| >= 2^63/salt would
-        # wrap silently and join wrong rows (mirrors triangle_count's
-        # packed-key guard).
-        if len(k) and np.abs(k).max() >= 2**63 // salt:
+        # k * salt + sid (0 <= sid < salt) must stay inside int64, else it
+        # wraps silently and joins wrong rows (mirrors triangle_count's
+        # packed-key guard): -2^63//salt <= key < 2^63//salt. No np.abs:
+        # it wraps at int64 min.
+        bound = 2**63 // salt
+        if len(k) and (int(k.min()) < -bound or int(k.max()) >= bound):
             raise ValueError(
-                f"salted_join: |key| max {np.abs(k).max()} exceeds the "
-                f"int64 packing range 2**63//salt ({2**63 // salt}); "
-                "reduce salt or pre-hash keys into a narrower range")
+                f"salted_join: key range [{k.min()}, {k.max()}] exceeds the "
+                f"int64 packing range [-2**63//salt, 2**63//salt) with "
+                f"2**63//salt = {bound}; reduce salt or pre-hash keys into "
+                "a narrower range")
 
     def tag_left(b: pa.Table) -> pa.Table:
         k = b[on].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -317,29 +317,56 @@ def _tag_polys_with_cells(batch: pa.Table, res: int, id_col: str) -> pa.Table:
     )
 
 
-def _per_cell_pip(group: pd.DataFrame) -> pd.DataFrame:
-    """Join one cell's points with its polygons -> (left_id, right_id)."""
-    pts = group[group["side"] == 0]
-    pls = group[group["side"] == 1]
-    if len(pts) == 0 or len(pls) == 0:
-        return pd.DataFrame({"left_id": pd.Series([], dtype="int64"),
-                             "right_id": pd.Series([], dtype="int64")})
-    pg = wkb.decode_polygons(pls["geometry_wkb"].to_numpy())
-    bounds = kernels.polygon_bounds(pg)
-    tree = STRtree(bounds)
+_PAIRS_SCHEMA = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64())])
+
+
+def _per_cell_pip(group: pa.Table) -> pa.Table:
+    """Join one cell's points with its polygons -> int64 (left_id, right_id)."""
+    is_pt = pc.equal(group["side"], 0)
+    pts = group.select(["left_id", "px", "py"]).filter(is_pt)
+    pls = group.select(["right_id", "geometry_wkb"]).filter(pc.invert(is_pt))
+    if pts.num_rows == 0 or pls.num_rows == 0:
+        return _PAIRS_SCHEMA.empty_table()
+    pg = wkb.decode_polygons(pls["geometry_wkb"])
+    tree = STRtree(kernels.polygon_bounds(pg))
     px = pts["px"].to_numpy().astype(np.float64)
     py = pts["py"].to_numpy().astype(np.float64)
-    qboxes = np.stack([px, py, px, py], axis=1)
-    qi, pi = tree.query_bbox(qboxes)
+    qi, pi = tree.query_bbox(np.stack([px, py, px, py], axis=1))
     if len(qi):
         keep = kernels.points_in_polygon_pairs(px, py, pg, qi, pi)
         qi, pi = qi[keep], pi[keep]
-    return pd.DataFrame(
+    return pa.table(
         {
-            "left_id": pts["left_id"].to_numpy()[qi],
-            "right_id": pls["right_id"].to_numpy()[pi],
+            "left_id": pa.array(pts["left_id"].to_numpy()[qi], pa.int64()),
+            "right_id": pa.array(pls["right_id"].to_numpy()[pi], pa.int64()),
         }
     )
+
+
+def _cell_counts(ds, cell_col: str = "cell") -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of ``cell_col`` in ``ds`` and their row counts.
+
+    Each block counts its own cells in a map task; the driver merges the
+    small per-block tables as they stream in. No exchange runs, and the
+    driver holds O(distinct cells) at a time. Returns (cells, counts),
+    both int64, sorted by cell.
+    """
+
+    def count_block(b: pa.Table) -> pa.Table:
+        c, n = np.unique(b[cell_col].to_numpy(zero_copy_only=False), return_counts=True)
+        return pa.table({"cell": pa.array(c, pa.int64()), "n": pa.array(n, pa.int64())})
+
+    partial = ds.select_columns([cell_col]).map_batches(
+        count_block, batch_format="pyarrow", batch_size=None)
+    cell = np.empty(0, np.int64)
+    n = np.empty(0, np.int64)
+    for part in partial.iter_batches(batch_size=None, batch_format="pyarrow"):
+        cell, inv = np.unique(
+            np.concatenate([cell, part["cell"].to_numpy()]), return_inverse=True)
+        merged = np.zeros(len(cell), np.int64)
+        np.add.at(merged, inv, np.concatenate([n, part["n"].to_numpy()]))
+        n = merged
+    return cell, n
 
 
 def sjoin_cell_partitioned(
@@ -359,11 +386,14 @@ def sjoin_cell_partitioned(
     Points land in exactly one cell; polygons are replicated to every cell
     their bbox overlaps, so a pair can match in at most one cell for PIP
     (the point's cell) — no dedup leg needed for the point-left case.
-    Returns a Dataset of (left_id, right_id) pairs.
+    Returns a Dataset of int64 (left_id, right_id) pairs; each cell is
+    joined over its Arrow group (``_per_cell_pip``).
 
-    Skew handling (north rule): with ``salt_threshold`` set, a first cheap
-    pass counts left rows per cell (projection of the cell column only);
-    cells above the threshold ("urban hotspots") are SALTED — their left
+    Skew handling (north rule): with ``salt_threshold`` set, a first pass
+    counts left rows per cell before this function returns. It is a map,
+    not a shuffle: each block counts its own cells (``_cell_counts``) and
+    the driver merges the per-block counts as they stream in. Cells
+    above the threshold ("urban hotspots") are SALTED — their left
     rows split into ``n_salts`` sub-partitions by a deterministic id hash,
     and the right rows covering a hot cell are replicated to every salt, so
     no single shuffle partition exceeds ~threshold rows. Results are
@@ -383,17 +413,8 @@ def sjoin_cell_partitioned(
 
     hot_cells: frozenset = frozenset()
     if salt_threshold is not None:
-        from ray.data.aggregate import Count
-
-        hist = (
-            lt.select_columns(["cell"])
-            .groupby("cell")
-            .aggregate(Count(alias_name="n"))
-            .to_pandas()
-        )  # one small row per distinct cell — the skew histogram
-        hot_cells = frozenset(
-            int(c) for c, n in zip(hist["cell"], hist["n"]) if n > salt_threshold
-        )
+        cell, n = _cell_counts(lt)  # the skew histogram, no shuffle
+        hot_cells = frozenset(cell[n > salt_threshold].tolist())
 
     if hot_cells:
         lt = lt.map_batches(
@@ -412,7 +433,7 @@ def sjoin_cell_partitioned(
             skew_mod.cell_skew_summary(
                 both, stage=f"pip_pairs_cell(res={res}, "
                 f"salt_threshold={salt_threshold})"))
-    return both.groupby("cell").map_groups(_per_cell_pip, batch_format="pandas")
+    return both.groupby("cell").map_groups(_per_cell_pip, batch_format="pyarrow")
 
 
 _SALT_MULT = np.int64(2654435761)

@@ -9,9 +9,11 @@ max / median / p90 / p99 / skew ratio — so the salting threshold
 (`sjoin_cell_partitioned(salt_threshold=...)`) is tuned from recorded
 evidence rather than guessed.
 
-The histogram pass projects ONLY the cell column (narrow groupby-count);
-enabling telemetry re-executes the upstream cell tagging once more, so
-it is opt-in per run, not always-on.
+The histogram pass projects ONLY the cell column and counts cells per
+block in a map (``ops.spatial._cell_counts``): no shuffle runs, and the
+driver merges one small table per block. Enabling telemetry still
+re-executes the upstream cell tagging once more, so it is opt-in per
+run, not always-on.
 """
 
 from __future__ import annotations
@@ -27,15 +29,9 @@ SKEW_FILE = "skew_metrics.jsonl"
 def cell_skew_summary(tagged_ds, cell_col: str = "cell",
                       stage: str = "") -> dict:
     """One metrics row from a cell-tagged Dataset (pre-groupby)."""
-    from ray.data.aggregate import Count
+    from ..ops.spatial import _cell_counts
 
-    hist = (
-        tagged_ds.select_columns([cell_col])
-        .groupby(cell_col)
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-    )
-    n = hist["n"].to_numpy()
+    _, n = _cell_counts(tagged_ds, cell_col)
     if len(n) == 0:
         return {"stage": stage, "n_cells": 0, "rows": 0, "max": 0,
                 "median": 0, "p90": 0, "p99": 0, "skew_ratio": 0.0}

@@ -135,8 +135,17 @@ def test_within_distance_matches_bruteforce(ray_session):
 
 
 def test_salted_join_equals_unsalted(ray_session):
+    from ssb_sgis_ray.geo import cells
     from ssb_sgis_ray.ops import spatial
     from ssb_sgis_ray.queries import lineitems, nations_ds
+
+    # the fixture must put more than the threshold in some cell, or the
+    # salted run below never salts
+    li = lineitems(SF).select_columns(["px", "py"]).to_pandas()
+    _, n = np.unique(cells.xy_to_cell(li["px"].to_numpy(np.float64),
+                                      li["py"].to_numpy(np.float64), 9),
+                     return_counts=True)
+    assert n.max() > 500
 
     plain = spatial.sjoin_cell_partitioned(
         lineitems(SF), nations_ds(SF), res=9, left_id="l_key", right_id="n_nationkey"

@@ -28,6 +28,14 @@ def suppliers_table() -> pa.Table:
     return synth.add_supplier_diamonds(t)
 
 
+def suppliers_ds():
+    import ray.data as rd
+
+    return rd.read_parquet(f"{SF}/supplier.parquet", columns=["s_suppkey"]).map_batches(
+        synth.add_supplier_diamonds, batch_format="pyarrow"
+    )
+
+
 def oracle_pip_pairs():
     """Brute-force (custkey, suppkey) pairs: |dx|+|dy| <= r (int math)."""
     c = pq.read_table(f"{SF}/customer.parquet", columns=["c_custkey"]).to_pandas()
@@ -69,13 +77,8 @@ def test_sjoin_pairs_broadcast(ray_session):
 
 
 def test_sjoin_cell_partitioned_matches_broadcast(ray_session):
-    import ray.data as rd
-
-    sup_ds = rd.read_parquet(f"{SF}/supplier.parquet", columns=["s_suppkey"]).map_batches(
-        synth.add_supplier_diamonds, batch_format="pyarrow"
-    )
     got = spatial.sjoin_cell_partitioned(
-        customers_ds(), sup_ds, res=7, left_id="c_custkey", right_id="s_suppkey"
+        customers_ds(), suppliers_ds(), res=7, left_id="c_custkey", right_id="s_suppkey"
     ).to_pandas()
     assert set(zip(got["left_id"], got["right_id"])) == oracle_pip_pairs()
     # a pair may appear at most once (points live in exactly one cell)
@@ -1126,3 +1129,89 @@ def test_sfilter_sequence_zero_candidates(ray_session):
     assert list(out.columns) == (["c_custkey", "px", "py"]
                                  + [f"matched_{n}" for n in names])
     assert len(out) == 3 and not out[[f"matched_{n}" for n in names]].any().any()
+
+
+def test_salted_cell_join_empty_left(ray_session):
+    """An empty left side through the salted plan: zero pairs, not a
+    KeyError from an empty histogram."""
+    got = spatial.sjoin_cell_partitioned(
+        customers_ds().limit(0), suppliers_ds(), res=7, left_id="c_custkey",
+        right_id="s_suppkey", salt_threshold=5000,
+    ).to_pandas()
+    assert len(got) == 0
+
+
+def test_cell_counts_equals_groupby_count(ray_session):
+    import ray.data as rd
+    from ray.data.aggregate import Count
+
+    rng = np.random.default_rng(3)
+    random = pa.table({"cell": rng.integers(-40, 40, 3000),
+                       "x": rng.random(3000)})
+    single = pa.table({"cell": np.full(500, 2**40, np.int64)})
+    blocks = [pa.table({"cell": rng.integers(0, 25, 400)}) for _ in range(6)]
+    multi = rd.from_arrow(blocks).materialize()
+    assert multi.num_blocks() == 6
+    for ds in (rd.from_arrow(random), rd.from_arrow(single), multi):
+        cell, n = spatial._cell_counts(ds)
+        want = (ds.groupby("cell").aggregate(Count(alias_name="n"))
+                .to_pandas().sort_values("cell"))
+        assert cell.dtype == np.int64 and n.dtype == np.int64
+        assert cell.tolist() == want["cell"].tolist()
+        assert n.tolist() == want["n"].tolist()
+
+    empty = rd.from_arrow(pa.table({"cell": pa.array([], pa.int64())}))
+    cell, n = spatial._cell_counts(empty)
+    assert len(cell) == len(n) == 0
+    assert len(empty.groupby("cell").aggregate(Count(alias_name="n")).to_pandas()) == 0
+
+
+def test_per_cell_pip_arrow_groups():
+    """One-sided groups give typed empty int64 pairs; a mixed group made of
+    several chunks joins its point to the polygon it lies in."""
+    square = wkb.encode_polygon([np.array([[0, 0], [20, 0], [20, 20], [0, 20], [0, 0.0]])])
+    pts = spatial._tag_points_with_cells(
+        pa.table({"lid": pa.array([1, 2], pa.int64()),
+                  "px": pa.array([10, 30], pa.int64()),
+                  "py": pa.array([10, 30], pa.int64())}), 7, "lid", "px", "py")
+    pls = spatial._tag_polys_with_cells(
+        pa.table({"rid": pa.array([5], pa.int64()),
+                  "geometry_wkb": pa.array([square], pa.binary())}), 7, "rid")
+    pairs_schema = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64())])
+    for one_sided in (pts, pls):
+        out = spatial._per_cell_pip(one_sided)
+        assert out.schema == pairs_schema and out.num_rows == 0
+    out = spatial._per_cell_pip(pa.concat_tables([pts, pls]))
+    assert out.schema == pairs_schema
+    assert out.to_pydict() == {"left_id": [1], "right_id": [5]}
+
+
+def test_cell_skew_summary_empty_dataset(ray_session):
+    import ray.data as rd
+
+    from ssb_sgis_ray.state import skew
+
+    s = skew.cell_skew_summary(
+        rd.from_arrow(pa.table({"cell": pa.array([], pa.int64())})), stage="empty")
+    assert s == {"stage": "empty", "n_cells": 0, "rows": 0, "max": 0,
+                 "median": 0, "p90": 0, "p99": 0, "skew_ratio": 0.0}
+
+
+def test_cell_skew_summary_matches_collected_cells(ray_session):
+    """The summary of the skewed lineitem fixture equals one computed from
+    np.unique over the collected cell column."""
+    from ssb_sgis_ray.queries import lineitems
+    from ssb_sgis_ray.state import skew
+
+    tagged = lineitems(SF).map_batches(
+        lambda b: spatial._tag_points_with_cells(b, 9, "l_key", "px", "py"),
+        batch_format="pyarrow").materialize()
+    _, n = np.unique(tagged.to_pandas()["cell"].to_numpy(), return_counts=True)
+    s = skew.cell_skew_summary(tagged, stage="lineitem")
+    assert s == {
+        "stage": "lineitem", "n_cells": len(n), "rows": int(n.sum()),
+        "max": int(n.max()), "median": int(np.median(n)),
+        "p90": int(np.percentile(n, 90)), "p99": int(np.percentile(n, 99)),
+        "skew_ratio": float(n.max() / max(float(np.median(n)), 1.0)),
+    }
+    assert s["skew_ratio"] > 2  # the fixture really is skewed

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 from ssb_sgis_ray.ops import relational as rel
 from ssb_sgis_ray.ops import text as text_ops
@@ -294,6 +295,19 @@ def test_salted_join_matches_plain(ray_session):
         .reset_index(drop=True)
     assert got["uid"].tolist() == want["uid"].tolist()
     assert got["rv"].tolist() == want["rv"].tolist()
+
+
+@pytest.mark.parametrize("key", [np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+def test_salted_join_rejects_keys_outside_packing_range(ray_session, key):
+    import ray.data as rd
+
+    # key * salt + sid would wrap; int64 min also wraps np.abs. The
+    # ValueError is raised in a map task and reaches here wrapped by Ray.
+    left = pd.DataFrame({"k": np.array([key, 1], np.int64), "lv": [1, 2]})
+    right = pd.DataFrame({"k": np.array([1], np.int64), "rv": [10]})
+    with pytest.raises(Exception, match="ValueError: salted_join: key range"):
+        rel.salted_join(rd.from_pandas(left), rd.from_pandas(right),
+                        on="k", salt=4).to_pandas()
 
 
 def test_interval_join_bucket_spans_and_boundaries(ray_session):
