@@ -36,9 +36,12 @@ def main() -> int:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--copies", type=int, default=1,
                    help="images per document (scale knob)")
-    p.add_argument("--min-actors", type=int, default=1)
+    p.add_argument("--min-actors", type=int, default=1,
+                   help="floor of the default --max-actors (the stage runs "
+                        "as tasks, so there is no pool minimum)")
     p.add_argument("--max-actors", type=int, default=0,
-                   help="0 = cluster CPUs - 4 (leave room for read/write tasks)")
+                   help="cap on concurrent per-image stage tasks; "
+                        "0 = cluster CPUs - 4 (leave room for read/write tasks)")
     p.add_argument("--subparts", type=int, default=2,
                    help="sink sub-partitions per tile axis (writers = 25*subparts^2)")
     p.add_argument("--source-path", default=None,

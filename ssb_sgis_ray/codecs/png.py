@@ -64,6 +64,8 @@ def decode_png(data: bytes) -> np.ndarray:
     raw = np.frombuffer(zlib.decompress(bytes(idat)), dtype=np.uint8)
     stride = 1 + w * 3
     rows = raw.reshape(h, stride)
+    if not rows[:, 0].any():  # every scanline filter 0 (what encode_png writes)
+        return rows[:, 1:].reshape(h, w, 3).copy()
     out = np.zeros((h, w * 3), dtype=np.uint8)
     bpp = 3
     for y in range(h):

@@ -1,22 +1,31 @@
 """Flagship pipeline: the north-star spatial-join + tile-assignment job.
 
-    images (synthesized per input_hint schema)
-      -> DecodeValidate          actor pool: decode + per-row invariants
-      -> add_footprints          georeferenced box per image
-      -> region PIP/intersects join (broadcast nation diamonds, STRtree
-         actors) — the write_municipality_data enrichment step
-         (/root/reference/src/sgis/io/write_municipality_data.py:144-195)
-      -> covering-tile flat-map  raster<->vector assignment
-      -> partitioned parquet sink by region, atomic per-partition files,
-         checkpoint manifest with per-partition lineage + metrics,
-         exact resume (state/manifest.py)
+    images (synthesized per input_hint schema, or a materialized table)
+      -> FusedFlagshipStage      one map task per read block:
+           decode + per-row invariants (DecodeValidate)
+           georeferenced box per image (add_footprints)
+           region PIP/intersects join (broadcast nation diamonds, STRtree
+             built once per block) — the enrichment step of sgis's
+             write_municipality_data (io/write_municipality_data.py:144-195)
+           covering-tile flat-map  raster<->vector assignment
+           sink partition key (region x tile sub-block)
+      -> partitioned parquet sink by that key, Arrow groups, atomic
+         per-partition files, checkpoint manifest with per-partition
+         lineage + metrics, exact resume (state/manifest.py)
+
+The per-image chain runs as plain Ray Data tasks, not an actor pool: no
+actor starts per execution, and the task workers keep their imports
+between executions. The region index is 25 diamonds; rebuilding it per
+block costs about a millisecond. Uncapped (``concurrency=None``), Ray
+fuses read -> stage into one task operator; Ray 2.49 fuses two task
+operators only when their caps are equal, so a capped stage runs behind
+its own (cheap) read operator.
 
 Payload discipline (SURVEY.md §7.5): image ``bytes`` do NOT ride through
-the shuffle — the wide steps move only (image_id, doc_id, footprint,
-region, tile) projections; the partitioned sink re-joins nothing because
-the partition files are keyed by id and tile only. A consumer needing
-pixels joins back by image_id against the source (Lance take-by-rowid at
-scale).
+the shuffle — the wide step moves only (image_id, doc_id, region, tile)
+projections; the partitioned sink re-joins nothing because the partition
+files are keyed by id and tile only. A consumer needing pixels joins back
+by image_id against the source (Lance take-by-rowid at scale).
 """
 
 from __future__ import annotations
@@ -37,20 +46,18 @@ def region_table(sf_dir: str) -> pa.Table:
 
 
 class FusedFlagshipStage:
-    """One actor pool for the whole per-image chain.
+    """The whole per-image chain in one callable.
 
     build images -> decode+validate -> footprint -> region join (broadcast
-    STRtree built once per actor) -> covering-tile flat-map, all inside a
-    single ``__call__``. Keeping the chain in one pool avoids three actor
-    pools fighting for the same CPUs and never ships the image ``bytes``
-    between operators — the only wide step left in the job is the
-    partitioned-write groupby.
+    STRtree over the regions, built in the constructor) -> covering-tile
+    flat-map, all inside a single ``__call__``. ``flagship_task`` builds
+    one per block, so the chain runs in one map task per block and never
+    ships the image ``bytes`` between operators — the only wide step left
+    in the job is the partitioned-write groupby.
     """
 
     def __init__(self, regions_ref, copies: int = 1, prebuilt: bool = False):
-        import ray
-
-        from ..geo import kernels, wkb as wkb_mod
+        from ..geo import wkb as wkb_mod
         from ..ops.spatial import _BroadcastIndex
 
         self.idx = _BroadcastIndex(regions_ref)
@@ -58,7 +65,6 @@ class FusedFlagshipStage:
         self.build = img_src.BuildImages(copies=copies)
         self.validate = img_src.DecodeValidate()
         self._wkb = wkb_mod
-        self._kernels = kernels
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         t = batch if self.prebuilt else self.build(batch)
@@ -79,6 +85,21 @@ class FusedFlagshipStage:
             "n_nationkey", self.idx.table["n_nationkey"].take(pa.array(pi, pa.int64()))
         )
         return _cover_with_region(joined)
+
+
+def flagship_task(batch: pa.Table, regions_ref, copies: int, prebuilt: bool,
+                  subparts: int) -> pa.Table:
+    """Map task over one read block: the fused chain plus the sink key."""
+    stage = FusedFlagshipStage(regions_ref, copies=copies, prebuilt=prebuilt)
+    return _add_part_key(stage(batch), subparts)
+
+
+def _add_part_key(batch: pa.Table, subparts: int) -> pa.Table:
+    nat = batch["n_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+    bx = batch["tile_x"].to_numpy(zero_copy_only=False).astype(np.int64) % subparts
+    by = batch["tile_y"].to_numpy(zero_copy_only=False).astype(np.int64) % subparts
+    key = nat * (subparts * subparts) + bx * subparts + by
+    return batch.append_column("part_key", pa.array(key, pa.int64()))
 
 
 def materialize_images(sf_dir: str, out_path: str, copies: int = 1,
@@ -104,7 +125,10 @@ def flagship(sf_dir: str, out_dir: str, concurrency=(1, 8), copies: int = 1,
     ``subparts``: the sink partitions by region × (tile_x, tile_y mod
     subparts), giving 25·subparts² writer groups — writer parallelism is
     no longer capped at the 25 regions (VERDICT r1 flagship scale note);
-    resume stays exact per sub-partition."""
+    resume stays exact per sub-partition.
+    ``concurrency``: cap on concurrent stage tasks — an int, a
+    ``(min, max)`` tuple whose max is the cap, or None for no cap.
+    Parallelism comes from the read blocks."""
     import ray
     import ray.data as rd
 
@@ -116,24 +140,16 @@ def flagship(sf_dir: str, out_dir: str, concurrency=(1, 8), copies: int = 1,
     else:
         src = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     tiled = src.map_batches(
-        FusedFlagshipStage,
-        fn_constructor_kwargs={
+        flagship_task,
+        fn_kwargs={
             "regions_ref": regions_ref, "copies": copies,
-            "prebuilt": source_path is not None,
+            "prebuilt": source_path is not None, "subparts": subparts,
         },
         batch_format="pyarrow",
-        batch_size=32,
-        concurrency=concurrency,
+        batch_size=None,
+        # Ray rejects (min, max) tuples for function stages: max is the cap
+        concurrency=concurrency[1] if isinstance(concurrency, tuple) else concurrency,
     )
-
-    def add_part_key(batch: pa.Table) -> pa.Table:
-        nat = batch["n_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bx = batch["tile_x"].to_numpy(zero_copy_only=False).astype(np.int64) % subparts
-        by = batch["tile_y"].to_numpy(zero_copy_only=False).astype(np.int64) % subparts
-        key = nat * (subparts * subparts) + bx * subparts + by
-        return batch.append_column("part_key", pa.array(key, pa.int64()))
-
-    tiled = tiled.map_batches(add_part_key, batch_format="pyarrow")
     rows = mf.write_partitioned_resumable(
         tiled, out_dir, partition_col="part_key", id_col="image_id",
         stage="flagship_tiles",

@@ -25,8 +25,8 @@ import json
 import os
 import time
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 
@@ -80,9 +80,14 @@ def append_manifest(out_dir: str, rows: list[dict]) -> None:
             f.write(json.dumps(r) + "\n")
 
 
-def partition_input_hash(g: pd.DataFrame, id_col: str) -> str:
-    """Content hash of a partition's input row ids (order-insensitive)."""
-    ids = sorted(str(v) for v in g[id_col])
+def partition_input_hash(g, id_col: str) -> str:
+    """Content hash of a partition's input row ids (order-insensitive).
+
+    ``g`` is a ``pa.Table`` or a pandas DataFrame; the same ids give the
+    same digest from either, so output dirs stay resumable across both."""
+    col = g[id_col]
+    vals = col.to_pylist() if isinstance(col, pa.ChunkedArray) else col
+    ids = sorted(str(v) for v in vals)
     return hashlib.md5("\n".join(ids).encode()).hexdigest()
 
 
@@ -101,12 +106,12 @@ def make_partition_writer(out_dir: str, partition_col: str, id_col: str,
     contract from the module docstring, enforced where the data actually
     is (the group kernel) rather than trusted from keys alone."""
 
-    def write_one(g: pd.DataFrame) -> pd.DataFrame:
+    def write_one(g: pa.Table) -> pa.Table:
         t0 = time.time()
-        key = str(g[partition_col].iloc[0])
+        key = str(g[partition_col][0].as_py())
+        cur_hash = partition_input_hash(g, id_col)
         if done is not None and key in done:
             prev = done[key]
-            cur_hash = partition_input_hash(g, id_col)
             if prev.get("input_hash") == cur_hash and os.path.exists(prev["path"]):
                 row = {k: v for k, v in prev.items() if k != "resumed"}
                 row["resumed"] = True
@@ -117,16 +122,16 @@ def make_partition_writer(out_dir: str, partition_col: str, id_col: str,
         tmp = os.path.join(pdir, f".tmp-{os.getpid()}")
         # deterministic TOTAL row order inside the file (resume => byte-
         # stable): id first, then every other column as tiebreak
-        sort_cols = [id_col] + [c for c in g.columns if c != id_col]
-        g = g.sort_values(sort_cols, kind="stable").reset_index(drop=True)
-        pq.write_table(pa.Table.from_pandas(g, preserve_index=False), tmp)
+        sort_cols = [id_col] + [c for c in g.column_names if c != id_col]
+        g = g.take(pc.sort_indices(g, [(c, "ascending") for c in sort_cols]))
+        pq.write_table(g, tmp)
         os.replace(tmp, final)  # atomic publish
         row = {
             "stage": stage,
             "partition": key,
-            "n_rows": len(g),
+            "n_rows": g.num_rows,
             "n_bytes": os.path.getsize(final),
-            "input_hash": partition_input_hash(g, id_col),
+            "input_hash": cur_hash,
             "wall_s": round(time.time() - t0, 4),
             "path": final,
             "resumed": False,
@@ -163,16 +168,19 @@ def write_partitioned_resumable(ds, out_dir: str, partition_col: str,
     """
     done = load_manifest(out_dir)
     if skip_by_key and done:
-        done_keys = set(done.keys())
+        done_keys = pa.array(sorted(done), pa.string())
 
-        def drop_done(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch[~batch[partition_col].astype(str).isin(done_keys)]
+        # a key whose Arrow string form differs from str(value) (floats,
+        # bools) is just not dropped here; the kernel's hash check resumes it
+        def drop_done(batch: pa.Table) -> pa.Table:
+            key = pc.cast(batch[partition_col], pa.string())
+            return batch.filter(pc.invert(pc.is_in(key, value_set=done_keys)))
 
-        ds = ds.map_batches(drop_done, batch_format="pandas")
+        ds = ds.map_batches(drop_done, batch_format="pyarrow")
     os.makedirs(out_dir, exist_ok=True)
     writer = make_partition_writer(out_dir, partition_col, id_col, stage,
                                    done=done or None)
-    metrics = ds.groupby(partition_col).map_groups(writer, batch_format="pandas")
+    metrics = ds.groupby(partition_col).map_groups(writer, batch_format="pyarrow")
     # workers already appended their own manifest rows (mid-job kill safe);
     # the collected metrics are returned as this run's lineage record
     return metrics.to_pandas().to_dict("records")

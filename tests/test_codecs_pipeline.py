@@ -5,7 +5,10 @@ import os
 import shutil
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 
 from ssb_sgis_ray.codecs import lossy, phash, png
@@ -20,6 +23,60 @@ def test_png_roundtrip_exact():
     for shape in [(32, 32, 3), (41, 57, 3), (1, 5, 3)]:
         img = rng.integers(0, 256, size=shape, dtype=np.uint8)
         assert np.array_equal(png.decode_png(png.encode_png(img)), img)
+
+
+def _png_filtered(img: np.ndarray, filters) -> bytes:
+    """Hand-built PNG whose scanline y is stored with PNG filter
+    ``filters[y]`` (forward filters of RFC 2083, 3 bytes per pixel)."""
+    import struct
+    import zlib
+
+    h, w = img.shape[:2]
+    raw = img.reshape(h, w * 3).astype(np.int32)
+    rows = []
+    for y, f in enumerate(filters):
+        line = raw[y]
+        prior = raw[y - 1] if y else np.zeros_like(line)
+        a = np.concatenate([np.zeros(3, np.int32), line[:-3]])
+        c = np.concatenate([np.zeros(3, np.int32), prior[:-3]])
+        if f == 0:
+            pred = np.zeros_like(line)
+        elif f == 1:
+            pred = a
+        elif f == 2:
+            pred = prior
+        elif f == 3:
+            pred = (a + prior) >> 1
+        else:
+            p = a + prior - c
+            da, db, dc = np.abs(p - a), np.abs(p - prior), np.abs(p - c)
+            pred = np.where((da <= db) & (da <= dc), a, np.where(db <= dc, prior, c))
+        rows.append(bytes([f]) + ((line - pred) & 0xFF).astype(np.uint8).tobytes())
+
+    def chunk(tag, data):
+        return (struct.pack(">I", len(data)) + tag + data
+                + struct.pack(">I", zlib.crc32(tag + data) & 0xFFFFFFFF))
+
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(b"".join(rows))) + chunk(b"IEND", b""))
+
+
+def test_png_decodes_every_filter_type():
+    """Filters 1-4 and a mixed-filter image take the per-row loop; an
+    all-filter-0 image takes the fast path. All decode to the source."""
+    rng = np.random.default_rng(3)
+    img = rng.integers(0, 256, size=(9, 13, 3), dtype=np.uint8)
+    cases = [[f] * 9 for f in range(5)] + [[0, 1, 2, 3, 4, 0, 4, 3, 2]]
+    for filters in cases:
+        data = _png_filtered(img, filters)
+        got = png.decode_png(data)
+        assert got.dtype == np.uint8 and got.shape == img.shape
+        assert np.array_equal(got, img), filters
+    # the hand builder's filter-0 output is byte-equal to the encoder's
+    assert _png_filtered(img, [0] * 9) == png.encode_png(img)
+    # the fast path returns an owned, writable array
+    assert png.decode_png(png.encode_png(img)).flags.writeable
 
 
 def test_png_rejects_garbage():
@@ -273,3 +330,109 @@ def test_image_metadata_filter_rules(ray_session):
         assert int(r["n_px"]) == w * h
         assert int(r["aspect_q"]) == 100 * max(w, h) // min(w, h)
     assert "bytes" not in out.columns
+
+
+def test_partition_input_hash_arrow_equals_pandas():
+    """Same ids -> same digest from an Arrow group and a pandas frame, in
+    any row order, and equal to the digest earlier writers stored (so
+    their output dirs resume without a rewrite)."""
+    ids = ["img000000000098", "img000000000004", "img000000000098", "img000000000011"]
+    ints = [7, -3, 10**12, 7]
+    for col, vals, digest in [("image_id", ids, "c1fb806481838b2859c587c87ea59c05"),
+                              ("k", ints, "f1250067a133cc8aa26dff18da922568")]:
+        for perm in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]):
+            v = [vals[i] for i in perm]
+            t = pa.Table.from_batches([pa.record_batch({col: v[:2]}),
+                                       pa.record_batch({col: v[2:]})])
+            assert mf.partition_input_hash(t, col) == digest
+            assert mf.partition_input_hash(pd.DataFrame({col: v}), col) == digest
+
+
+def _part_table(n=60):
+    return pa.table({
+        "image_id": pa.array([f"img{i % 23:04d}" for i in range(n)]),
+        "tile": pa.array(np.arange(n, dtype=np.int64)[::-1]),
+        "part_key": pa.array(np.arange(n, dtype=np.int64) % 4),
+    })
+
+
+def test_partition_writer_arrow_sorted_no_pandas_metadata(tmp_path):
+    write_one = mf.make_partition_writer(str(tmp_path), "part_key", "image_id")
+    t = _part_table()
+    t = t.filter(pc.equal(t["part_key"], 1))
+    out = write_one(t)
+    assert isinstance(out, pa.Table) and out.num_rows == 1
+    assert out["resumed"][0].as_py() is False
+    path = out["path"][0].as_py()
+    back = pq.read_table(path)
+    assert back.schema.metadata is None or b"pandas" not in back.schema.metadata
+    want = t.to_pandas().sort_values(["image_id", "tile", "part_key"]).reset_index(drop=True)
+    assert back.to_pandas().equals(want)
+    assert out["n_bytes"][0].as_py() == os.path.getsize(path)
+
+
+def test_skip_by_key_rewrites_only_missing_partition(ray_session, tmp_path):
+    import ray.data as rd
+
+    out = str(tmp_path / "sink")
+    ds = rd.from_arrow(_part_table()).repartition(3)
+    first = mf.write_partitioned_resumable(ds, out, "part_key", "image_id")
+    assert sorted(r["partition"] for r in first) == ["0", "1", "2", "3"]
+    done = mf.load_manifest(out)
+    before = {}
+    for k, r in done.items():
+        with open(r["path"], "rb") as f:
+            before[k] = (f.read(), os.stat(r["path"]).st_mtime_ns)
+    os.remove(done["2"]["path"])
+    again = mf.write_partitioned_resumable(ds, out, "part_key", "image_id",
+                                           skip_by_key=True)
+    # the finished keys were dropped before the shuffle: one group ran
+    assert [(r["partition"], r["resumed"]) for r in again] == [("2", False)]
+    for k, (data, mtime) in before.items():
+        path = done[k]["path"]
+        with open(path, "rb") as f:
+            assert f.read() == data
+        if k != "2":
+            assert os.stat(path).st_mtime_ns == mtime
+    assert set(mf.verify_manifest(out).values()) == {"ok"}
+
+
+def test_flagship_resumes_dir_written_with_pandas_writer(ray_session, tmp_path):
+    """An output dir whose partition files and manifest hashes came from a
+    pandas-frame writer (pandas metadata in every file) resumes without
+    rewriting anything."""
+    from ssb_sgis_ray.pipelines import flagship as fl
+
+    out = str(tmp_path / "flag")
+    fl.flagship(SF, out)
+    rows = []
+    for row in mf.load_manifest(out).values():
+        df = pq.read_table(row["path"]).to_pandas()
+        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), row["path"])
+        rows.append(dict(row, n_bytes=os.path.getsize(row["path"]),
+                         input_hash=mf.partition_input_hash(df, "image_id")))
+    os.remove(mf.manifest_path(out))
+    mf.append_manifest(out, rows)
+    before = {r["path"]: os.stat(r["path"]).st_mtime_ns for r in rows}
+    res = fl.flagship(SF, out)
+    assert res["partitions_written"] == 0
+    assert res["partitions_total"] == len(rows)
+    assert {p: os.stat(p).st_mtime_ns for p in before} == before
+
+
+def test_flagship_task_concurrency_int_and_tuple(ray_session, tmp_path):
+    """A (min, max) tuple caps the stage's tasks at max (no tuple-
+    concurrency ValueError for the function stage); the manifest equals
+    the int-capped run's."""
+    from ssb_sgis_ray.pipelines import flagship as fl
+
+    out_a, out_b = str(tmp_path / "tuple"), str(tmp_path / "int")
+    res_a = fl.flagship(SF, out_a, concurrency=(1, 1))
+    res_b = fl.flagship(SF, out_b, concurrency=2)
+    assert res_a == res_b and res_a["partitions_written"] > 25
+
+    def manifest(out):
+        return {k: (r["n_rows"], r["input_hash"], r["n_bytes"])
+                for k, r in mf.load_manifest(out).items()}
+
+    assert manifest(out_a) == manifest(out_b)
