@@ -337,15 +337,18 @@ _RECT_RULES = {
 }
 
 
-def _rect_pair_basis(L: np.ndarray, R: np.ndarray):
-    """(ix, iy, l_in_r, r_in_l) of (n, 4) left/right box pairs; ix/iy
-    are the signed intersection extents (>= 0: closed boxes meet)."""
-    ix = np.minimum(L[:, 2], R[:, 2]) - np.maximum(L[:, 0], R[:, 0])
-    iy = np.minimum(L[:, 3], R[:, 3]) - np.maximum(L[:, 1], R[:, 1])
-    l_in_r = ((L[:, 0] >= R[:, 0]) & (L[:, 2] <= R[:, 2])
-              & (L[:, 1] >= R[:, 1]) & (L[:, 3] <= R[:, 3]))
-    r_in_l = ((R[:, 0] >= L[:, 0]) & (R[:, 2] <= L[:, 2])
-              & (R[:, 1] >= L[:, 1]) & (R[:, 3] <= L[:, 3]))
+def _rect_pair_basis(left_pg: PolygonArray, right_pg: PolygonArray,
+                     qi: np.ndarray, pi: np.ndarray):
+    """(ix, iy, l_in_r, r_in_l) of rect×rect (left-row, right-row) pairs;
+    ix/iy are the signed intersection extents (>= 0: closed boxes meet).
+    Reads 1-D gathers of each bound column, never (n, 4) pair rows."""
+    lb, rb = polygon_bounds(left_pg), polygon_bounds(right_pg)
+    lx0, ly0, lx1, ly1 = (lb[:, k][qi] for k in range(4))
+    rx0, ry0, rx1, ry1 = (rb[:, k][pi] for k in range(4))
+    ix = np.minimum(lx1, rx1) - np.maximum(lx0, rx0)
+    iy = np.minimum(ly1, ry1) - np.maximum(ly0, ry0)
+    l_in_r = (lx0 >= rx0) & (lx1 <= rx1) & (ly0 >= ry0) & (ly1 <= ry1)
+    r_in_l = (rx0 >= lx0) & (rx1 <= lx1) & (ry0 >= ly0) & (ry1 <= ly1)
     return ix, iy, l_in_r, r_in_l
 
 
@@ -428,19 +431,27 @@ def polygon_predicate_pairs(
     quantities or boolean areas are computed once."""
     names = predicate_names(predicate)
     # axis-rect fast path (same special case the clip kernels use): both
-    # sides plain rectangles -> pure vectorized interval arithmetic. For
-    # rect×rect pairs the caller's bbox-overlap candidates ARE closure
-    # intersections, so the SAT/exact intersect prefilter is skipped for
-    # them — at dense coverage that prefilter dominated the whole pass
-    # (289 s -> seconds on the sf0.1 box fixture).
-    rectpair = detect_axis_rects(left_pg)[qi] & detect_axis_rects(right_pg)[pi]
+    # sides plain rectangles -> pure vectorized interval arithmetic on
+    # gathered bound columns. For rect×rect pairs the caller's
+    # bbox-overlap candidates ARE closure intersections, so the
+    # SAT/exact intersect prefilter is skipped for them — at dense
+    # coverage that prefilter dominated the whole pass (289 s -> seconds
+    # on the sf0.1 box fixture). When every row of both sides is a rect
+    # the basis reads qi / pi directly; otherwise the rect pairs' subset
+    # goes through the same basis and the rest through the area engine.
+    l_rect, r_rect = detect_axis_rects(left_pg), detect_axis_rects(right_pg)
+    if l_rect.all() and r_rect.all():
+        out = _predicate_masks(
+            names, len(qi), _RECT_RULES,
+            lambda: _rect_pair_basis(left_pg, right_pg, qi, pi))
+        return out[0] if isinstance(predicate, str) else out
+    rectpair = l_rect[qi] & r_rect[pi]
     out = np.zeros((len(names), len(qi)), dtype=bool)
     jf = np.nonzero(rectpair)[0]
     if len(jf):
         out[:, jf] = _predicate_masks(
             names, len(jf), _RECT_RULES,
-            lambda: _rect_pair_basis(polygon_bounds(left_pg)[qi[jf]],
-                                     polygon_bounds(right_pg)[pi[jf]]))
+            lambda: _rect_pair_basis(left_pg, right_pg, qi[jf], pi[jf]))
     gidx = np.nonzero(~rectpair)[0]
     if len(gidx):
         out[:, gidx] = _predicate_masks(
@@ -539,35 +550,41 @@ def _convex_ring_table(pg: PolygonArray, rows: np.ndarray):
     """Per-unique-row (padded ring matrix, eligible flag) for the SAT fast
     path: eligible rows are single-part single-ring convex with <=
     _SAT_MAX_VERTS vertices. Padding repeats the first vertex (zero-length
-    edges project degenerately and never separate)."""
+    edges project degenerately and never separate); ineligible rows stay
+    zero and are masked out by callers.
+
+    Offset arithmetic throughout: one padded (rows, M, 2) vertex gather,
+    and convexity from each ring's turn cross products at j, (j+1) % m,
+    (j+2) % m — the arithmetic of ``is_convex_ring``, row by row."""
+    rows = np.asarray(rows, dtype=np.int64)
     n = len(rows)
     ok = np.zeros(n, dtype=bool)
-    rings: list = [None] * n
-    maxm = 0
-    for t, r in enumerate(rows):
-        r = int(r)
-        if pg.geom_offsets[r + 1] - pg.geom_offsets[r] != 1:
-            continue
-        q = pg.geom_offsets[r]
-        if pg.poly_offsets[q + 1] - pg.poly_offsets[q] != 1:
-            continue
-        ring = pg.coords[pg.ring_offsets[pg.poly_offsets[q]] :
-                         pg.ring_offsets[pg.poly_offsets[q] + 1]]
-        m = len(ring) - 1
-        if m > _SAT_MAX_VERTS or m < 3 or not is_convex_ring(ring):
-            continue
-        ok[t] = True
-        rings[t] = ring[:-1]
-        maxm = max(maxm, m)
-    if maxm == 0:
+    g0 = pg.geom_offsets[rows]
+    cand = np.nonzero(pg.geom_offsets[rows + 1] - g0 == 1)[0]
+    q = g0[cand]
+    cand = cand[pg.poly_offsets[q + 1] - pg.poly_offsets[q] == 1]
+    ring = pg.poly_offsets[g0[cand]]
+    start = pg.ring_offsets[ring]
+    m = pg.ring_offsets[ring + 1] - start - 1
+    keep = (m >= 3) & (m <= _SAT_MAX_VERTS)
+    cand, start, m = cand[keep], start[keep], m[keep]
+    if len(cand) == 0:
         return None, ok
+    j = np.arange(m.max())
+    mm, s0 = m[:, None], start[:, None]
+    live = j < mm
+    a = pg.coords[s0 + np.where(live, j, 0)]  # (k, M, 2), first-vertex pad
+    b = pg.coords[s0 + (j + 1) % mm]
+    c = pg.coords[s0 + (j + 2) % mm]
+    cr = ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+          - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+    convex = ((cr >= 0) | ~live).all(axis=1) | ((cr <= 0) | ~live).all(axis=1)
+    ok[cand[convex]] = True
+    if not convex.any():
+        return None, ok
+    maxm = int(m[convex].max())
     V = np.zeros((n, maxm, 2))
-    for t in range(n):
-        if ok[t]:
-            m = len(rings[t])
-            V[t, :m] = rings[t]
-            V[t, m:] = rings[t][0]
-        # ineligible rows left zero; masked out by callers
+    V[cand[convex]] = a[convex, :maxm]
     return V, ok
 
 

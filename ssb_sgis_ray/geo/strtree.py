@@ -2,9 +2,33 @@
 
 A from-scratch implementation of the Sort-Tile-Recursive packing of
 Leutenegger et al. (1997) — the same bulk-load strategy GEOS's STRtree
-(used pervasively in the reference, e.g. /root/reference/src/sgis/
-geopandas_tools/sfilter.py:51-59, overlay.py:210-211) uses. Built ONCE per
-actor / per partition group inside stateful stages; queried per batch.
+(used pervasively in the reference, e.g. sgis geopandas_tools/
+sfilter.py:51-59, overlay.py:210-211) uses. Built once per stage / per
+partition group; queried per batch.
+
+Packing: items are sorted by box-centre x (stable), cut into
+``ceil(sqrt(ceil(n / NODE_CAP)))`` vertical slices of equal size, and
+sorted by centre y inside each slice (stable). The result is the leaf
+order ``perm``; consecutive runs of ``NODE_CAP`` leaf-order items form the
+leaf groups, and each level above groups ``NODE_CAP`` consecutive nodes of
+the level below, up to a single root. The whole build is array code: one
+lexsort for the slices and one min/max reduce per level.
+
+Padded blocks: every level stores its children's box columns padded with
+NaN to whole ``NODE_CAP`` rows and reshaped to ``(parents, NODE_CAP)``.
+A query descends level by level from the root: each frontier
+``(query, node)`` pair gathers its node's row of children and compares
+all of them at once; ``np.nonzero`` of the ``(frontier, NODE_CAP)`` mask
+gives the next frontier.
+
+Pair order: ``query_bbox`` returns pairs sorted by query index, then by
+the item's leaf rank (its position in ``perm``) — ``np.nonzero`` is
+row-major, so every level keeps that order.
+
+NaN rule: boxes are closed, and a comparison with NaN is false, so an
+item or query with a NaN coordinate (the bounds of an empty geometry)
+never matches. Node boxes are built with ``fmin``/``fmax``, which skip
+NaN, so such an item does not hide its siblings.
 
 Query returns candidate pairs by bbox overlap; callers refine with the
 exact predicate kernels (PIP winding / polygon intersects).
@@ -19,6 +43,19 @@ import numpy as np
 NODE_CAP = 16
 
 
+def _blocks(cols: tuple) -> tuple:
+    """Box columns padded with NaN to whole NODE_CAP rows, as
+    (parents, NODE_CAP) arrays."""
+    n = len(cols[0])
+    n_nodes = -(-n // NODE_CAP)
+    out = []
+    for c in cols:
+        b = np.full(n_nodes * NODE_CAP, np.nan)
+        b[:n] = c
+        out.append(b.reshape(n_nodes, NODE_CAP))
+    return tuple(out)
+
+
 class STRtree:
     """Bulk-loaded static R-tree over item bboxes.
 
@@ -28,123 +65,55 @@ class STRtree:
     def __init__(self, boxes: np.ndarray):
         boxes = np.asarray(boxes, dtype=np.float64)
         self.n = len(boxes)
-        self.item_boxes = boxes
+        # levels[0] holds the items in leaf groups, levels[-1] the root's
+        # children; each is (x0, y0, x1, y1) blocks of (parents, NODE_CAP)
+        self.levels: list[tuple] = []
         if self.n == 0:
-            self.levels: list[tuple[np.ndarray, np.ndarray]] = []
+            self.perm = np.empty(0, dtype=np.int64)
             return
-        # STR packing: sort by cx into vertical slices, sort each by cy
         cx = (boxes[:, 0] + boxes[:, 2]) * 0.5
         cy = (boxes[:, 1] + boxes[:, 3]) * 0.5
         n_leaves = math.ceil(self.n / NODE_CAP)
         n_slices = math.ceil(math.sqrt(n_leaves))
-        order = np.argsort(cx, kind="stable")
         slice_size = math.ceil(self.n / n_slices)
-        perm = np.empty(self.n, dtype=np.int64)
-        pos = 0
-        for s in range(0, self.n, slice_size):
-            sl = order[s : s + slice_size]
-            sl = sl[np.argsort(cy[sl], kind="stable")]
-            perm[pos : pos + len(sl)] = sl
-            pos += len(sl)
-        self.perm = perm  # leaf-order permutation of item indices
-        sorted_boxes = boxes[perm]
-
-        # build levels bottom-up; each level: (node_boxes, child_start_idx)
-        self.levels = []
-        cur = sorted_boxes
-        while len(cur) > 1:
-            n_nodes = math.ceil(len(cur) / NODE_CAP)
-            node_boxes = np.empty((n_nodes, 4), dtype=np.float64)
-            starts = np.arange(n_nodes, dtype=np.int64) * NODE_CAP
-            for i in range(n_nodes):
-                ch = cur[i * NODE_CAP : (i + 1) * NODE_CAP]
-                node_boxes[i, 0] = ch[:, 0].min()
-                node_boxes[i, 1] = ch[:, 1].min()
-                node_boxes[i, 2] = ch[:, 2].max()
-                node_boxes[i, 3] = ch[:, 3].max()
-            self.levels.append((node_boxes, starts))
-            cur = node_boxes
-        # levels[0] = leaf-group level (children are items), last = root level
-        # column-split contiguous copies: descent math gathers 1-D arrays
-        # instead of slicing (T,4) gathers — strided column reads are ~4×
-        # the memory traffic on this host and dominate fan-out-heavy joins
-        self._leaf_cols = tuple(
-            np.ascontiguousarray(sorted_boxes[:, k]) for k in range(4)
-        )
-        self._level_cols = [
-            tuple(np.ascontiguousarray(nb[:, k]) for k in range(4))
-            for nb, _ in self.levels
-        ]
+        order = np.argsort(cx, kind="stable")
+        # stable sort by (slice, cy) == a stable cy sort inside each slice
+        self.perm = order[np.lexsort((cy[order],
+                                      np.arange(self.n) // slice_size))]
+        sorted_boxes = boxes[self.perm]
+        cols = tuple(sorted_boxes[:, k] for k in range(4))
+        while True:
+            blocks = _blocks(cols)
+            self.levels.append(blocks)
+            if len(blocks[0]) == 1:
+                break
+            x0, y0, x1, y1 = blocks
+            cols = (np.fmin.reduce(x0, axis=1), np.fmin.reduce(y0, axis=1),
+                    np.fmax.reduce(x1, axis=1), np.fmax.reduce(y1, axis=1))
 
     def query_bbox(self, qboxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate (query_idx, item_idx) pairs whose bboxes overlap.
+        """Candidate (query_idx, item_idx) pairs whose bboxes overlap,
+        ordered by query, then by the item's leaf rank.
 
-        Vectorized breadth-first descent: maintains frontier (query, node)
-        pairs per level, expanding each surviving node into its children.
-        All hot-path arithmetic runs on contiguous 1-D column arrays.
+        Vectorized breadth-first descent from the root: per level one row
+        gather per frontier (query, node) pair and one
+        (frontier, NODE_CAP) compare.
         """
         qboxes = np.asarray(qboxes, dtype=np.float64)
         nq = len(qboxes)
         if self.n == 0 or nq == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        if not self.levels:
-            # single item
-            m = _overlaps(qboxes, self.item_boxes[0])
-            qi = np.nonzero(m)[0]
-            return qi, np.zeros(len(qi), dtype=np.int64)
-        qx0 = np.ascontiguousarray(qboxes[:, 0])
-        qy0 = np.ascontiguousarray(qboxes[:, 1])
-        qx1 = np.ascontiguousarray(qboxes[:, 2])
-        qy1 = np.ascontiguousarray(qboxes[:, 3])
-
-        # start at the top level
-        top_boxes, _ = self.levels[-1]
-        q_idx = np.repeat(np.arange(nq), len(top_boxes))
-        n_idx = np.tile(np.arange(len(top_boxes)), nq)
-        mask = _overlaps_pairs(qboxes[q_idx], top_boxes[n_idx])
-        q_idx, n_idx = q_idx[mask], n_idx[mask]
-
-        for lvl in range(len(self.levels) - 1, -1, -1):
-            if len(n_idx) == 0:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-            _, starts = self.levels[lvl]
-            cx0, cy0, cx1, cy1 = (
-                self._level_cols[lvl - 1] if lvl > 0 else self._leaf_cols
-            )
-            n_children = len(cx0)
-            # expand each (q, node) into its children
-            c0 = starts[n_idx]
-            c1 = np.minimum(c0 + NODE_CAP, n_children)
-            counts = c1 - c0
-            total = int(counts.sum())
-            rep_q = np.repeat(q_idx, counts)
-            base = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            within = np.arange(total) - np.repeat(base, counts)
-            child_idx = np.repeat(c0, counts) + within
-            mask = (
-                (qx0[rep_q] <= cx1[child_idx])
-                & (qx1[rep_q] >= cx0[child_idx])
-                & (qy0[rep_q] <= cy1[child_idx])
-                & (qy1[rep_q] >= cy0[child_idx])
-            )
-            q_idx, n_idx = rep_q[mask], child_idx[mask]
+        qx0, qy0, qx1, qy1 = (np.ascontiguousarray(qboxes[:, k])
+                              for k in range(4))
+        q_idx = np.arange(nq)
+        n_idx = np.zeros(nq, dtype=np.int64)
+        for cx0, cy0, cx1, cy1 in reversed(self.levels):
+            mask = qx0[q_idx, None] <= cx1[n_idx]
+            mask &= qx1[q_idx, None] >= cx0[n_idx]
+            mask &= qy0[q_idx, None] <= cy1[n_idx]
+            mask &= qy1[q_idx, None] >= cy0[n_idx]
+            r, c = np.nonzero(mask)
+            q_idx = q_idx[r]
+            n_idx = n_idx[r] * NODE_CAP + c
         # n_idx are leaf-order item positions -> original indices
         return q_idx, self.perm[n_idx]
-
-
-def _overlaps(qboxes: np.ndarray, box: np.ndarray) -> np.ndarray:
-    return (
-        (qboxes[:, 0] <= box[2])
-        & (qboxes[:, 2] >= box[0])
-        & (qboxes[:, 1] <= box[3])
-        & (qboxes[:, 3] >= box[1])
-    )
-
-
-def _overlaps_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (
-        (a[:, 0] <= b[:, 2])
-        & (a[:, 2] >= b[:, 0])
-        & (a[:, 1] <= b[:, 3])
-        & (a[:, 3] >= b[:, 1])
-    )

@@ -201,6 +201,76 @@ def test_is_convex():
     assert not kernels.is_convex_ring(notch)
 
 
+def _ngon(m, r=10.0):
+    t = 2 * np.pi * np.arange(m) / m
+    ring = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+    return np.vstack([ring, ring[:1]])
+
+
+def test_convex_ring_table_matches_is_convex_ring():
+    """The SAT table's (V, ok) equals a row-by-row loop over
+    is_convex_ring: eligible rows are single-part single-ring convex with
+    3..16 vertices, V holds the open ring padded with its first vertex."""
+    tri = np.array([[0, 0], [4, 0], [0, 3], [0, 0]], float)
+    ell = np.array([[0, 0], [4, 0], [4, 1], [1, 1], [1, 4], [0, 4], [0, 0]],
+                   float)
+    runs = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [2, 2], [1, 2], [0, 2],
+                     [0, 1], [0, 0]], float)
+    two_distinct = np.array([[0, 0], [1, 1], [0, 0], [1, 1], [0, 0]], float)
+    sliver = np.array([[0, 0], [1, 0], [0, 0]], float)
+    polys = [
+        wkb.encode_polygon([tri]),
+        wkb.encode_polygon([square(0, 0, 1)]),
+        wkb.encode_polygon([diamond(5, 5, 2)]),
+        wkb.encode_polygon([ell]),
+        wkb.encode_polygon([square(0, 0, 10), square(0, 0, 3)[::-1]]),
+        wkb.encode_multipolygon([[square(0, 0, 2)], [square(100, 100, 5)]]),
+        wkb.encode_polygon([_ngon(17)]),
+        wkb.encode_polygon([_ngon(16)]),
+        wkb.encode_polygon([runs]),
+        wkb.encode_polygon([two_distinct]),
+        wkb.encode_polygon([sliver]),
+        wkb.encode_polygon([square(0, 0, 1)[::-1]]),
+        wkb.encode_polygon([]),
+        wkb.encode_polygon([tri]),
+    ]
+    pg = wkb.decode_polygons(np.array(polys, dtype=object))
+
+    def reference(rows):
+        rings = []
+        for r in rows:
+            p0, p1 = pg.geom_offsets[r], pg.geom_offsets[r + 1]
+            ring = None
+            if p1 - p0 == 1 and pg.poly_offsets[p0 + 1] - pg.poly_offsets[p0] == 1:
+                ring = kernels._exterior_ring(pg, r)
+                m = len(ring) - 1
+                if not (3 <= m <= 16 and kernels.is_convex_ring(ring)):
+                    ring = None
+            rings.append(ring)
+        return rings
+
+    rng = np.random.default_rng(3)
+    for rows in (np.arange(len(pg)), rng.permutation(len(pg)),
+                 np.array([3, 4, 5, 6, 10, 12])):
+        V, ok = kernels._convex_ring_table(pg, rows)
+        want = reference(rows)
+        np.testing.assert_array_equal(ok, [w is not None for w in want])
+        if not ok.any():
+            assert V is None
+            continue
+        maxm = max(len(w) - 1 for w in want if w is not None)
+        assert V.shape == (len(rows), maxm, 2)
+        for t, w in enumerate(want):
+            exp = np.zeros((maxm, 2))
+            if w is not None:
+                exp[:] = w[0]
+                exp[: len(w) - 1] = w[:-1]
+            np.testing.assert_array_equal(V[t], exp, err_msg=str(rows[t]))
+    ok = kernels._convex_ring_table(pg, np.arange(len(pg)))[1]
+    assert ok.tolist() == [True, True, True, False, False, False, False,
+                           True, True, True, False, True, False, True]
+
+
 def test_point_segment_dist2():
     d2 = kernels.point_segment_dist2(
         np.array([0.0, 5.0, 20.0]),
@@ -311,6 +381,78 @@ def test_strtree_empty_and_single():
     t1 = STRtree(np.array([[0, 0, 10, 10.0]]))
     qi, ii = t1.query_bbox(np.array([[5, 5, 6, 6.0], [20, 20, 21, 21.0]]))
     assert qi.tolist() == [0] and ii.tolist() == [0]
+
+
+def _str_perm_loop(boxes):
+    """Reference STR leaf order: sort by centre x, cut into slices, sort
+    each slice by centre y (both stable), one slice per loop step."""
+    import math
+
+    from ssb_sgis_ray.geo.strtree import NODE_CAP
+
+    n = len(boxes)
+    cx = (boxes[:, 0] + boxes[:, 2]) * 0.5
+    cy = (boxes[:, 1] + boxes[:, 3]) * 0.5
+    n_slices = math.ceil(math.sqrt(math.ceil(n / NODE_CAP)))
+    slice_size = math.ceil(n / n_slices)
+    order = np.argsort(cx, kind="stable")
+    parts = []
+    for s in range(0, n, slice_size):
+        sl = order[s : s + slice_size]
+        parts.append(sl[np.argsort(cy[sl], kind="stable")])
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 256, 257, 5000])
+def test_strtree_pairs_equal_bruteforce_in_leaf_order(n):
+    """Pairs equal the brute-force closed-box overlaps and come ordered by
+    (query, leaf rank of the item in tree.perm); the leaf order is the
+    per-slice STR sort. Integer grid coordinates make shared edges and
+    corners common; zero-area, point and NaN boxes ride along."""
+    rng = np.random.default_rng(n)
+    lo = rng.integers(0, 40, (n, 2)).astype(np.float64)
+    size = rng.integers(0, 6, (n, 2)).astype(np.float64)
+    size[rng.random(n) < 0.2] = 0.0  # point boxes
+    size[rng.random(n) < 0.1, 0] = 0.0  # zero-width boxes
+    boxes = np.hstack([lo, lo + size])
+    if n > 2:
+        boxes[rng.choice(n, max(1, n // 50), replace=False)] = np.nan
+    tree = STRtree(boxes)
+    np.testing.assert_array_equal(tree.perm, _str_perm_loop(boxes))
+    nq = 300
+    qlo = rng.integers(-2, 42, (nq, 2)).astype(np.float64)
+    qsize = rng.integers(0, 8, (nq, 2)).astype(np.float64)
+    qsize[: nq // 5] = 0.0  # point queries
+    qboxes = np.hstack([qlo, qlo + qsize])
+    qboxes[7] = np.nan
+    qboxes[11, 2] = np.nan
+    qi, ii = tree.query_bbox(qboxes)
+    hit = (
+        (qboxes[:, None, 0] <= boxes[None, :, 2])
+        & (qboxes[:, None, 2] >= boxes[None, :, 0])
+        & (qboxes[:, None, 1] <= boxes[None, :, 3])
+        & (qboxes[:, None, 3] >= boxes[None, :, 1])
+    )
+    # in leaf order, row-major nonzero IS the (query, leaf rank) order
+    eq, erank = np.nonzero(hit[:, tree.perm])
+    np.testing.assert_array_equal(qi, eq)
+    np.testing.assert_array_equal(ii, tree.perm[erank])
+    assert qi.dtype == ii.dtype == np.int64
+    assert len(qi) > 0 and 7 not in qi and 11 not in qi
+    qi0, ii0 = tree.query_bbox(np.empty((0, 4)))
+    assert len(qi0) == len(ii0) == 0
+
+
+def test_strtree_nan_item_keeps_siblings():
+    """One NaN item box (the bounds of an empty geometry) never matches
+    and must not hide the other items: its node boxes skip the NaN."""
+    x = np.arange(99, dtype=np.float64) * 10
+    boxes = np.stack([x, x, x + 1, x + 1], axis=1)
+    boxes = np.insert(boxes, 40, np.nan, axis=0)
+    qi, ii = STRtree(boxes).query_bbox(boxes)
+    live = np.delete(np.arange(100), 40)
+    np.testing.assert_array_equal(qi, live)
+    np.testing.assert_array_equal(ii, live)
 
 
 # ---------------------------------------------------------------- buffer
@@ -799,6 +941,53 @@ def test_polygon_predicate_sequence_equals_single_calls():
     for name in ("intersects", "touches", "overlaps", "within", "covers"):
         assert (by[name] & ~rect).any(), name  # general leg populated
     assert not by["crosses"].any()
+
+
+def test_rect_path_masks_equal_on_all_rect_and_mixed_inputs():
+    """All-rect lefts and rights take the column path over every pair; the
+    same pairs plus pairs against one extra non-rect right row take the
+    mixed path. The rect pairs' masks agree for every name, and agree
+    with the exact area engine on a sample."""
+    from ssb_sgis_ray import synth
+
+    part_keys, order_keys = np.arange(1, 61), np.arange(1, 181)
+    left_pg = wkb.decode_polygons(
+        synth.box_wkb(*synth.part_boxes(part_keys)))
+    right_wkb = synth.box_wkb(*synth.orders_boxes(order_keys)).to_numpy(
+        zero_copy_only=False)
+    right_pg = wkb.decode_polygons(right_wkb)
+    assert kernels.detect_axis_rects(left_pg).all()
+    assert kernels.detect_axis_rects(right_pg).all()
+    qi, pi = STRtree(kernels.polygon_bounds(right_pg)).query_bbox(
+        kernels.polygon_bounds(left_pg))
+    n = len(qi)
+    names = kernels.PREDICATES
+    masks = kernels.polygon_predicate_pairs(left_pg, right_pg, qi, pi, names)
+    assert masks.shape == (len(names), n)
+    by = dict(zip(names, masks))
+    for name in ("touches", "overlaps", "within", "covers"):
+        assert by[name].any(), name
+
+    mixed_pg = wkb.decode_polygons(np.concatenate([
+        right_wkb, synth.diamond_wkb(*synth.supplier_diamonds(
+            np.array([1])))]))
+    extra = len(right_pg)
+    qi2 = np.concatenate([qi, np.arange(len(left_pg))])
+    pi2 = np.concatenate([pi, np.full(len(left_pg), extra)])
+    mixed = kernels.polygon_predicate_pairs(left_pg, mixed_pg, qi2, pi2,
+                                            names)
+    np.testing.assert_array_equal(mixed[:, :n], masks)
+    for k, name in enumerate(names):
+        one = kernels.polygon_predicate_pairs(left_pg, right_pg, qi, pi, name)
+        assert one.shape == (n,)
+        np.testing.assert_array_equal(one, masks[k], err_msg=name)
+
+    sample = np.random.default_rng(0).choice(n, min(n, 80), replace=False)
+    exact = kernels._predicate_masks(
+        names, len(sample), kernels._AREA_RULES,
+        lambda: kernels._area_pair_basis(left_pg, right_pg, qi[sample],
+                                         pi[sample], names))
+    np.testing.assert_array_equal(masks[:, sample], exact)
 
 
 def test_point_predicate_sequence_equals_single_calls():

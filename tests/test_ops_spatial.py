@@ -1131,6 +1131,24 @@ def test_sfilter_sequence_zero_candidates(ray_session):
     assert len(out) == 3 and not out[[f"matched_{n}" for n in names]].any().any()
 
 
+def test_sfilter_right_with_one_empty_polygon(ray_session):
+    """An empty polygon in the right table (NaN bounds) matches nothing
+    and leaves every other right row's matches in place."""
+    sup = suppliers_table()
+    g = sup.schema.get_field_index("geometry_wkb")
+    empty = sup.slice(0, 1).set_column(
+        g, sup.schema.field(g),
+        pa.array([wkb.encode_polygon([])], sup.schema.field(g).type))
+    with_empty = pa.concat_tables([sup.slice(0, 3), empty, sup.slice(3)])
+    assert np.isnan(kernels.polygon_bounds(
+        wkb.decode_polygons(with_empty["geometry_wkb"]))[3]).all()
+    want = sorted(spatial.sfilter(customers_ds(), sup, mode="semi")
+                  .to_pandas()["c_custkey"])
+    got = sorted(spatial.sfilter(customers_ds(), with_empty, mode="semi")
+                 .to_pandas()["c_custkey"])
+    assert len(want) > 0 and got == want
+
+
 def test_salted_cell_join_empty_left(ray_session):
     """An empty left side through the salted plan: zero pairs, not a
     KeyError from an empty histogram."""
