@@ -12,7 +12,9 @@ complement; split returns a matched flag) and the sjoin-pairs projection of
   "broadcast small side" plan from SURVEY.md §2.4.
 * **cell co-partition path** (both sides large): both sides are flat-mapped
   to their covering cells (cells.cover_bbox), tagged, unioned, and joined
-  per cell in ``groupby(cell).map_groups``; pair duplicates from
+  per cell after one sort-shuffle (``_co_group`` for the pairs join,
+  sized from its own cell histogram when salted; ``groupby(cell)
+  .map_groups`` for ``sfilter_cell``); pair duplicates from
   multi-cell geometries are removed by a keep-first dedup on
   (left_id, right_id) — the halo-dedup discipline of the reference's
   ``gridloop`` (bounds.py:16-173).
@@ -369,6 +371,102 @@ def _cell_counts(ds, cell_col: str = "cell") -> tuple[np.ndarray, np.ndarray]:
     return cell, n
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# bytes one tagged left row carries through the exchange: five int64
+# columns, the int8 side and a null WKB (a 4-byte offset)
+_TAGGED_ROW_BYTES = 45
+
+
+def _co_group(ds, key: str, kernel, boundaries=None):
+    """Co-group exchange: ``kernel`` runs once per distinct ``key`` value
+    on an Arrow table holding every row of that value.
+
+    One Ray ``sort`` co-locates the keys. Given ``boundaries`` (key values
+    where a new partition starts) it runs ``len(boundaries) + 1`` reducers
+    and no sampling pass; ``None`` samples boundaries and runs one reducer
+    per input block. A sort reducer emits one sorted block, so a key never
+    straddles blocks, and one ``map_batches`` over whole blocks cuts each
+    block at key changes.
+    """
+    if boundaries is None:
+        ds = ds.sort(key)
+    else:
+        # Ray samples when it gets no boundaries: one partition is the
+        # range below int64 max (a second reducer gets only that value)
+        ds = ds.sort(key, boundaries=[int(b) for b in boundaries] or [_INT64_MAX])
+
+    def per_key(block: pa.Table):
+        k = block[key].to_numpy()
+        cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
+        if len(k):
+            for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(k)].tolist()):
+                yield kernel(block.slice(a, b - a))
+
+    return ds.map_batches(per_key, batch_format="pyarrow", batch_size=None)
+
+
+def _partition_boundaries(keys, weights, n_parts: int) -> list[int]:
+    """Cut sorted ``keys`` into at most ``n_parts`` contiguous ranges of
+    about equal total ``weight``; returns the key starting each range
+    after the first (empty for one range).
+
+    Each cut sits at the key edge nearest its cumulative-weight quantile,
+    so no range exceeds mean + the largest single key weight. With at
+    least as many parts as keys every key is its own range.
+    """
+    keys = np.asarray(keys, np.int64)
+    if n_parts <= 1 or len(keys) <= 1:
+        return []
+    if n_parts >= len(keys):
+        return keys[1:].tolist()
+    cum = np.concatenate(([0.0], np.cumsum(np.asarray(weights, np.float64))))
+    target = cum[-1] * np.arange(1, n_parts) / n_parts
+    hi = np.searchsorted(cum, target)
+    lo = np.maximum(hi - 1, 0)
+    edge = np.where(cum[hi] - target <= target - cum[lo], hi, lo)
+    edge = np.unique(edge[(edge > 0) & (edge < len(keys))])
+    return keys[edge].tolist()
+
+
+def _partition_loads(keys, weights, boundaries) -> np.ndarray:
+    """Total weight per range of ``_partition_boundaries``' cut."""
+    part = np.searchsorted(np.asarray(boundaries, np.int64), keys, side="right")
+    return np.bincount(part, weights=weights, minlength=len(boundaries) + 1)
+
+
+def _exchange_partitions(est_rows: int, n_keys: int) -> int:
+    """Partition count of a sized exchange: one per session CPU, more when
+    the estimated bytes exceed one Ray block each, at most one per key."""
+    from ray.data import DataContext
+
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    block = DataContext.get_current().target_max_block_size or 128 << 20
+    by_bytes = -(-est_rows * _TAGGED_ROW_BYTES // block)
+    return max(1, min(n_keys, max(cpus, by_bytes)))
+
+
+def _replicate(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row index and salt (0..reps-1) of each copy when row i is repeated
+    ``reps[i]`` times."""
+    rows = np.repeat(np.arange(len(reps)), reps)
+    salt = np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
+    return rows, salt
+
+
+def _shuffle_keys(cell, n, hot, n_salts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffle keys of the salted plan, sorted, with their left-row
+    weights: a cold cell's key is cell*n_salts, a hot cell's keys are
+    cell*n_salts + s for each salt s, weighted count/n_salts. With no hot
+    cell nothing is salted and the keys are the cells."""
+    if len(hot) == 0:
+        return cell, n.astype(np.float64)
+    reps = np.where(_is_hot(cell, hot), n_salts, 1)
+    rows, salt = _replicate(reps)
+    keys = cell[rows] * n_salts + salt  # wraps like _salt_left's keys
+    order = np.argsort(keys, kind="stable")
+    return keys[order], (n / reps)[rows][order]
+
+
 def sjoin_cell_partitioned(
     left,
     right,
@@ -386,22 +484,34 @@ def sjoin_cell_partitioned(
     Points land in exactly one cell; polygons are replicated to every cell
     their bbox overlaps, so a pair can match in at most one cell for PIP
     (the point's cell) — no dedup leg needed for the point-left case.
-    Returns a Dataset of int64 (left_id, right_id) pairs; each cell is
-    joined over its Arrow group (``_per_cell_pip``).
-
-    Skew handling (north rule): with ``salt_threshold`` set, a first pass
-    counts left rows per cell before this function returns. It is a map,
-    not a shuffle: each block counts its own cells (``_cell_counts``) and
-    the driver merges the per-block counts as they stream in. Cells
-    above the threshold ("urban hotspots") are SALTED — their left
-    rows split into ``n_salts`` sub-partitions by a deterministic id hash,
-    and the right rows covering a hot cell are replicated to every salt, so
-    no single shuffle partition exceeds ~threshold rows. Results are
+    Returns a Dataset of int64 (left_id, right_id) pairs; each shuffle key
+    is joined over its Arrow group (``_per_cell_pip``). Results are
     identical with or without salting.
+
+    The salted plan (``salt_threshold`` set) sizes its exchange from its
+    own histogram, all before this function returns:
+
+    1. histogram: each block counts its left rows per cell in a map task
+       and the calling process merges the counts (``_cell_counts``, no
+       shuffle);
+    2. salts: cells above the threshold ("urban hotspots") are hot. Their
+       left rows split into ``n_salts`` sub-keys by a hash of the left id
+       (``_salt_left``) and their right rows are replicated to every
+       sub-key (``_salt_right``);
+    3. boundaries: the shuffle keys, weighted by their left rows, are cut
+       at cumulative-weight quantiles (``_partition_boundaries``);
+    4. P partitions: one per session CPU, more when the estimated exchange
+       bytes exceed one Ray block each, at most one per key;
+    5. co-group: one sort on those boundaries (no sampling pass, P
+       reducers) and one kernel call per key (``_co_group``).
+
+    Without ``salt_threshold`` nothing is counted and the sort samples its
+    boundaries, one reducer per input block.
 
     ``skew_report_dir``: when set, the post-salting per-cell row
     histogram is summarized into <dir>/skew_metrics.jsonl (straggler
-    telemetry — state.skew) at the cost of one extra tagging pass.
+    telemetry — state.skew) at the cost of one extra tagging pass, and
+    the plan's sizing is appended to <dir>/plan_metrics.jsonl.
     """
     lt = left.map_batches(
         lambda b: _tag_points_with_cells(b, res, left_id, x_col, y_col),
@@ -411,55 +521,74 @@ def sjoin_cell_partitioned(
         lambda b: _tag_polys_with_cells(b, res, right_id), batch_format="pyarrow"
     )
 
-    hot_cells: frozenset = frozenset()
+    hot = np.empty(0, np.int64)
+    boundaries = None
+    plan = {"est_rows": None, "hot_cells": 0, "n_salts": n_salts,
+            "partitions": None, "max_partition_rows_est": None}
     if salt_threshold is not None:
         cell, n = _cell_counts(lt)  # the skew histogram, no shuffle
-        hot_cells = frozenset(cell[n > salt_threshold].tolist())
+        hot = cell[n > salt_threshold]
+        keys, weights = _shuffle_keys(cell, n, hot, n_salts)
+        boundaries = _partition_boundaries(
+            keys, weights, _exchange_partitions(int(n.sum()), len(keys)))
+        plan.update(est_rows=int(n.sum()), hot_cells=len(hot),
+                    partitions=len(boundaries) + 1,
+                    max_partition_rows_est=int(np.ceil(
+                        _partition_loads(keys, weights, boundaries).max())))
 
-    if hot_cells:
+    if len(hot):
         lt = lt.map_batches(
-            lambda b: _salt_left(b, hot_cells, n_salts), batch_format="pyarrow"
+            lambda b: _salt_left(b, hot, n_salts), batch_format="pyarrow"
         )
         rt = rt.map_batches(
-            lambda b: _salt_right(b, hot_cells, n_salts), batch_format="pyarrow"
+            lambda b: _salt_right(b, hot, n_salts), batch_format="pyarrow"
         )
 
     both = lt.union(rt)
     if skew_report_dir is not None:
         from ..state import skew as skew_mod
 
+        stage = f"pip_pairs_cell(res={res}, salt_threshold={salt_threshold})"
         skew_mod.record_cell_skew(
-            skew_report_dir,
-            skew_mod.cell_skew_summary(
-                both, stage=f"pip_pairs_cell(res={res}, "
-                f"salt_threshold={salt_threshold})"))
-    return both.groupby("cell").map_groups(_per_cell_pip, batch_format="pyarrow")
+            skew_report_dir, skew_mod.cell_skew_summary(both, stage=stage))
+        skew_mod.record_plan(skew_report_dir, {"op": stage, **plan})
+    return _co_group(both, "cell", _per_cell_pip, boundaries)
 
 
-_SALT_MULT = np.int64(2654435761)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over the uint64 view of int64 ``x``: every
+    input bit reaches every output bit, so structured ids (a composite
+    ``orderkey*10 + linenumber``) spread evenly modulo any salt count."""
+    z = np.ascontiguousarray(x, np.int64).view(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _salt_left(batch: pa.Table, hot_cells: frozenset, n_salts: int) -> pa.Table:
-    """Shuffle key := cell*n_salts + salt(left_id) for hot cells."""
+def _is_hot(cell: np.ndarray, hot_cells: np.ndarray) -> np.ndarray:
+    """Membership of ``cell`` in the sorted int64 ``hot_cells``."""
+    if len(hot_cells) == 0:
+        return np.zeros(len(cell), bool)
+    i = np.minimum(np.searchsorted(hot_cells, cell), len(hot_cells) - 1)
+    return hot_cells[i] == cell
+
+
+def _salt_left(batch: pa.Table, hot_cells: np.ndarray, n_salts: int) -> pa.Table:
+    """Shuffle key := cell*n_salts + salt(left_id), salt 0 for cells not in
+    the sorted int64 ``hot_cells``."""
     cell = batch["cell"].to_numpy(zero_copy_only=False)
     lid = batch["left_id"].to_numpy(zero_copy_only=False)
-    hot = np.isin(cell, np.fromiter(hot_cells, dtype=np.int64, count=len(hot_cells)))
-    salt = np.where(hot, (lid * _SALT_MULT) % n_salts, 0)
-    key = cell * n_salts + salt
+    salt = _splitmix64(lid) % np.uint64(n_salts)
+    key = cell * n_salts + np.where(_is_hot(cell, hot_cells), salt.astype(np.int64), 0)
     return batch.set_column(0, "cell", pa.array(key, pa.int64()))
 
 
-def _salt_right(batch: pa.Table, hot_cells: frozenset, n_salts: int) -> pa.Table:
+def _salt_right(batch: pa.Table, hot_cells: np.ndarray, n_salts: int) -> pa.Table:
     """Replicate right rows covering a hot cell to every salt sub-key."""
     cell = batch["cell"].to_numpy(zero_copy_only=False)
-    hot = np.isin(cell, np.fromiter(hot_cells, dtype=np.int64, count=len(hot_cells)))
-    reps = np.where(hot, n_salts, 1)
-    rows = np.repeat(np.arange(len(batch)), reps)
-    base = np.concatenate(([0], np.cumsum(reps)[:-1]))
-    salt = np.arange(int(reps.sum())) - np.repeat(base, reps)
+    rows, salt = _replicate(np.where(_is_hot(cell, hot_cells), n_salts, 1))
     out = batch.take(pa.array(rows, pa.int64()))
-    key = cell[rows] * n_salts + salt
-    return out.set_column(0, "cell", pa.array(key, pa.int64()))
+    return out.set_column(0, "cell", pa.array(cell[rows] * n_salts + salt, pa.int64()))
 
 
 # ---------------------------------------------------------------------------

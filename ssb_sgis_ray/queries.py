@@ -359,9 +359,13 @@ def lineitems(sf_dir: str):
 
 
 def nations_ds(sf_dir: str):
+    # TPC-H nation has 25 rows at every scale factor: one block, where Ray
+    # would split the file into 2 x CPUs blocks, each a task of its own in
+    # every stage and exchange map downstream
     return (
         _rd()
-        .read_parquet(f"{sf_dir}/nation.parquet", columns=["n_nationkey"])
+        .read_parquet(f"{sf_dir}/nation.parquet", columns=["n_nationkey"],
+                      override_num_blocks=1)
         .map_batches(synth.add_nation_diamonds, batch_format="pyarrow")
     )
 

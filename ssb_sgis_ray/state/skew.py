@@ -14,6 +14,12 @@ block in a map (``ops.spatial._cell_counts``): no shuffle runs, and the
 driver merges one small table per block. Enabling telemetry still
 re-executes the upstream cell tagging once more, so it is opt-in per
 run, not always-on.
+
+The same directory gets one plan row per sized exchange in
+``plan_metrics.jsonl`` (estimated rows, hot cells, salts, partitions,
+largest estimated partition), from numbers the plan already computed.
+It is a separate file: readers take the last skew row as the summary of
+the latest exchange.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import os
 import numpy as np
 
 SKEW_FILE = "skew_metrics.jsonl"
+PLAN_FILE = "plan_metrics.jsonl"
 
 
 def cell_skew_summary(tagged_ds, cell_col: str = "cell",
@@ -48,16 +55,33 @@ def cell_skew_summary(tagged_ds, cell_col: str = "cell",
     }
 
 
-def record_cell_skew(out_dir: str, summary: dict) -> None:
-    """Append one summary row to the run's skew metrics sidecar."""
+def _append(out_dir: str, name: str, row: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, SKEW_FILE), "a") as f:
-        f.write(json.dumps(summary) + "\n")
+    with open(os.path.join(out_dir, name), "a") as f:
+        f.write(json.dumps(row) + "\n")
 
 
-def load_cell_skew(out_dir: str) -> list[dict]:
-    path = os.path.join(out_dir, SKEW_FILE)
+def _load(out_dir: str, name: str) -> list[dict]:
+    path = os.path.join(out_dir, name)
     if not os.path.exists(path):
         return []
     with open(path) as f:
         return [json.loads(x) for x in f if x.strip()]
+
+
+def record_cell_skew(out_dir: str, summary: dict) -> None:
+    """Append one summary row to the run's skew metrics sidecar."""
+    _append(out_dir, SKEW_FILE, summary)
+
+
+def load_cell_skew(out_dir: str) -> list[dict]:
+    return _load(out_dir, SKEW_FILE)
+
+
+def record_plan(out_dir: str, row: dict) -> None:
+    """Append one exchange-sizing row to the run's plan metrics sidecar."""
+    _append(out_dir, PLAN_FILE, row)
+
+
+def load_plans(out_dir: str) -> list[dict]:
+    return _load(out_dir, PLAN_FILE)

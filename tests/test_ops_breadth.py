@@ -134,10 +134,20 @@ def test_within_distance_matches_bruteforce(ray_session):
     assert set(zip(got["c_custkey"], got["neighbor_id"])) == expect
 
 
-def test_salted_join_equals_unsalted(ray_session):
+def test_salted_join_equals_unsalted(ray_session, tmp_path, monkeypatch):
+    """Lineitem x nation: the histogram-sized salted plan, the sampled
+    unsalted plan and the broadcast join return the same pairs with the
+    same multiplicity (the fixture repeats some l_key ids, so salting may
+    add no duplicate beyond those). The salted plan never samples sort
+    boundaries, and it records its sizing in plan_metrics.jsonl, apart
+    from the skew rows."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.planner.exchange.sort_task_spec import SortTaskSpec
+
     from ssb_sgis_ray.geo import cells
     from ssb_sgis_ray.ops import spatial
     from ssb_sgis_ray.queries import lineitems, nations_ds
+    from ssb_sgis_ray.state import skew
 
     # the fixture must put more than the threshold in some cell, or the
     # salted run below never salts
@@ -147,17 +157,37 @@ def test_salted_join_equals_unsalted(ray_session):
                      return_counts=True)
     assert n.max() > 500
 
-    plain = spatial.sjoin_cell_partitioned(
+    def pairs(df, left="left_id", right="right_id"):
+        return sorted(zip(df[left].tolist(), df[right].tolist()))
+
+    nat = synth.add_nation_diamonds(
+        pq.read_table(f"{SF}/nation.parquet", columns=["n_nationkey"]))
+    bcast = pairs(spatial.sjoin_pairs(lineitems(SF), nat, right_cols=["n_nationkey"])
+                  .to_pandas(), "l_key", "n_nationkey")
+    plain = pairs(spatial.sjoin_cell_partitioned(
         lineitems(SF), nations_ds(SF), res=9, left_id="l_key", right_id="n_nationkey"
-    ).to_pandas()
-    salted = spatial.sjoin_cell_partitioned(
+    ).to_pandas())
+
+    def no_sampling(*a, **k):
+        raise AssertionError("the salted plan sampled sort boundaries")
+
+    monkeypatch.setattr(SortTaskSpec, "sample_boundaries", staticmethod(no_sampling))
+    report = str(tmp_path)
+    salted = pairs(spatial.sjoin_cell_partitioned(
         lineitems(SF), nations_ds(SF), res=9, left_id="l_key", right_id="n_nationkey",
-        salt_threshold=500, n_salts=8,
-    ).to_pandas()
-    assert set(zip(plain["left_id"], plain["right_id"])) == set(
-        zip(salted["left_id"], salted["right_id"])
-    )
-    assert len(plain) == len(salted)  # no duplicates introduced
+        salt_threshold=500, n_salts=8, skew_report_dir=report,
+    ).to_pandas())
+    assert len(bcast) > 1000
+    assert salted == plain == bcast
+
+    (plan,) = skew.load_plans(report)
+    (summary,) = skew.load_cell_skew(report)
+    assert "n_cells" in summary and "partitions" not in summary
+    assert plan["op"] == summary["stage"]
+    assert plan["est_rows"] == 6000 and plan["hot_cells"] == int((n > 500).sum())
+    assert plan["n_salts"] == 8
+    assert plan["partitions"] == 4  # the test session's CPUs
+    assert 6000 / 4 <= plan["max_partition_rows_est"] < 6000 / 2
 
 
 def test_cut_line_parts_conserves_length():

@@ -1,0 +1,239 @@
+"""The salted cell join's exchange: salt evenness, histogram-sized
+partition boundaries, the co-group step and pair equality across plans."""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from ssb_sgis_ray import synth
+from ssb_sgis_ray.geo import cells
+from ssb_sgis_ray.ops import spatial
+from test_ops_spatial import SF
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# ---------------------------------------------------------------------------
+# salts
+# ---------------------------------------------------------------------------
+
+
+def test_salt_splits_lineitem_hot_cells_evenly():
+    """Composite lineitem ids (l_orderkey*10 + l_linenumber) in each hot
+    cell land within 5% of an even split over the 8 sub-keys. The cells
+    hold 55k-180k rows, so a fair hash stays well inside 5%; the former
+    multiplicative hash put +14% to +17% on one sub-key."""
+    sf01 = os.path.join(os.path.dirname(SF), "sf0.1")
+    t = synth.add_lineitem_points(pq.read_table(
+        f"{sf01}/lineitem.parquet", columns=["l_orderkey", "l_linenumber"]))
+    lid = (t["l_orderkey"].to_numpy() * 10 + t["l_linenumber"].to_numpy()).astype(np.int64)
+    cell = cells.xy_to_cell(t["px"].to_numpy().astype(np.float64),
+                            t["py"].to_numpy().astype(np.float64), 9)
+    u, n = np.unique(cell, return_counts=True)
+    hot = u[n > 50_000]
+    assert len(hot) >= 2
+    n_salts = 8
+    batch = pa.table({"cell": pa.array(cell, pa.int64()),
+                      "left_id": pa.array(lid, pa.int64())})
+    key = spatial._salt_left(batch, hot, n_salts)["cell"].to_numpy()
+    cold = ~np.isin(cell, hot)
+    assert (key[cold] == cell[cold] * n_salts).all()
+    for h in hot:
+        sub = key[cell == h] - cell[cell == h] * n_salts
+        counts = np.bincount(sub, minlength=n_salts)
+        assert len(counts) == n_salts
+        even = counts.sum() / n_salts
+        assert np.abs(counts / even - 1).max() < 0.05, (h, counts)
+
+
+def test_salt_int64_extremes_and_membership():
+    ids = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 7],
+                   np.int64)
+    s = spatial._splitmix64(ids) % np.uint64(8)
+    assert ((s >= 0) & (s < 8)).all()
+    hot = np.array([-5, 3, 2**40], np.int64)
+    cell = np.array([-5, -4, 3, 4, 2**40, 2**41, np.iinfo(np.int64).max], np.int64)
+    assert spatial._is_hot(cell, hot).tolist() == np.isin(cell, hot).tolist()
+    assert not spatial._is_hot(cell, hot[:0]).any()
+
+
+def test_salt_right_replicates_hot_rows_per_sub_key():
+    batch = pa.table({"cell": pa.array([3, 5, 3, 9], pa.int64()),
+                      "right_id": pa.array([10, 11, 12, 13], pa.int64())})
+    out = spatial._salt_right(batch, np.array([3, 9], np.int64), 4)
+    got = sorted(zip(out["cell"].to_pylist(), out["right_id"].to_pylist()))
+    want = sorted([(3 * 4 + s, 10) for s in range(4)] + [(5 * 4, 11)]
+                  + [(3 * 4 + s, 12) for s in range(4)]
+                  + [(9 * 4 + s, 13) for s in range(4)])
+    assert got == want
+
+
+def test_shuffle_keys_match_the_salted_rows():
+    """The planned key list is exactly the keys the salting maps emit,
+    sorted, weighted by the left rows each receives on average."""
+    cell = np.array([2, 5, 7], np.int64)
+    n = np.array([10, 80, 3], np.int64)
+    keys, w = spatial._shuffle_keys(cell, n, np.array([5], np.int64), 8)
+    assert keys.tolist() == [16] + [40 + s for s in range(8)] + [56]
+    assert w.tolist() == [10.0] + [10.0] * 8 + [3.0]
+    keys, w = spatial._shuffle_keys(cell, n, np.empty(0, np.int64), 8)
+    assert keys.tolist() == cell.tolist() and w.tolist() == [10.0, 80.0, 3.0]
+
+
+# ---------------------------------------------------------------------------
+# boundaries
+# ---------------------------------------------------------------------------
+
+
+def _loads(keys, w, n_parts):
+    b = spatial._partition_boundaries(keys, w, n_parts)
+    assert b == sorted(set(b)) and set(b) <= set(np.asarray(keys).tolist())
+    assert len(b) + 1 <= max(n_parts, 1)
+    return b, spatial._partition_loads(keys, w, b)
+
+
+def _plan_histogram(seed: int, n_cells: int = 120, hot: int = 3, n_salts: int = 8):
+    """A salted plan's key histogram: small cold cells plus hot cells
+    holding half the rows, split over n_salts sub-keys."""
+    rng = np.random.default_rng(seed)
+    cell = np.sort(rng.choice(2**20, n_cells, replace=False)).astype(np.int64)
+    n = rng.integers(50, 800, n_cells)
+    hot_idx = rng.choice(n_cells, hot, replace=False)
+    n[hot_idx] = n.sum() // hot
+    return spatial._shuffle_keys(cell, n, np.sort(cell[hot_idx]), n_salts)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n_parts", [2, 3, 4, 8])
+def test_boundaries_balance_plan_histograms(seed, n_parts):
+    """On salted plan histograms no partition exceeds
+    max(largest key weight, 1.25 x mean)."""
+    keys, w = _plan_histogram(seed)
+    b, loads = _loads(keys, w, n_parts)
+    assert len(b) + 1 == n_parts
+    assert loads.sum() == pytest.approx(w.sum())
+    assert loads.max() <= max(w.max(), 1.25 * w.sum() / n_parts)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_boundaries_never_exceed_mean_plus_largest_key(seed):
+    """Any histogram: each cut sits within half the largest key weight of
+    its quantile. (No contiguous cut meets max(largest, 1.25 x mean) for
+    every histogram: weights [1, 10, 1] in 2 parts give 11.)"""
+    rng = np.random.default_rng(100 + seed)
+    n_keys = int(rng.integers(2, 300))
+    keys = np.sort(rng.choice(2**40, n_keys, replace=False)).astype(np.int64) - 2**39
+    w = rng.pareto(1.2, n_keys) * rng.integers(0, 2, n_keys)
+    n_parts = int(rng.integers(2, 40))
+    _, loads = _loads(keys, w, n_parts)
+    assert loads.max() <= w.sum() / n_parts + w.max() + 1e-9
+
+
+def test_boundaries_edge_cases():
+    keys = np.array([-7, 0, 4, 9, 30], np.int64)
+    w = np.array([5.0, 1.0, 1.0, 1.0, 1.0])
+    # one partition: no boundary (the co-group step handles P = 1)
+    assert spatial._partition_boundaries(keys, w, 1) == []
+    # more partitions than keys: every key its own range
+    b, loads = _loads(keys, w, 12)
+    assert b == [0, 4, 9, 30] and loads.tolist() == w.tolist()
+    # one key holding every row
+    lone = np.array([0.0, 0.0, 100.0, 0.0, 0.0])
+    _, loads = _loads(keys, lone, 3)
+    assert loads.max() == 100.0 and loads.sum() == 100.0
+    # a heavy last key still gets a range of its own: its cut is nearer
+    # the quantile than the end of the key list
+    b, loads = _loads(keys, np.array([1.0, 1.0, 1.0, 1.0, 100.0]), 2)
+    assert b == [30] and loads.tolist() == [4.0, 100.0]
+    assert spatial._partition_boundaries(keys[:1], w[:1], 4) == []
+    # empty histogram
+    assert spatial._partition_boundaries(np.empty(0, np.int64), np.empty(0), 4) == []
+    assert spatial._partition_loads(np.empty(0, np.int64), np.empty(0), []).tolist() == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# co-group, and pair equality in a 1-CPU session
+# ---------------------------------------------------------------------------
+
+
+def test_co_group_calls_kernel_once_per_key(ray_session):
+    import ray.data as rd
+
+    rng = np.random.default_rng(5)
+    blocks = [pa.table({"k": pa.array(rng.integers(-3, 40, 300), pa.int64()),
+                        "v": pa.array(np.arange(300) + 300 * i, pa.int64())})
+              for i in range(4)]
+    want = {}
+    for b in blocks:
+        for k, v in zip(b["k"].to_pylist(), b["v"].to_pylist()):
+            want.setdefault(k, []).append(v)
+
+    def kernel(g: pa.Table) -> pa.Table:
+        k = g["k"].to_numpy()
+        assert (k == k[0]).all()
+        return pa.table({"k": pa.array([k[0]], pa.int64()),
+                         "n": pa.array([g.num_rows], pa.int64()),
+                         "s": pa.array([int(g["v"].to_numpy().sum())], pa.int64())})
+
+    for boundaries in (None, [], [10], [0, 5, 20, 39], [-100, 1000]):
+        out = spatial._co_group(rd.from_arrow(blocks), "k", kernel, boundaries).to_pandas()
+        assert sorted(out["k"]) == sorted(want)  # one call per key
+        for k, n, s in zip(out["k"], out["n"], out["s"]):
+            assert (n, s) == (len(want[k]), sum(want[k]))
+
+
+_ONE_CPU = r"""
+import json, sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import pyarrow.parquet as pq
+from ssb_sgis_ray import synth
+from ssb_sgis_ray.ops import spatial
+from ssb_sgis_ray.queries import lineitems, nations_ds
+from ssb_sgis_ray.state import skew
+sf, report = sys.argv[1], sys.argv[2]
+def pairs(ds, l="left_id", r="right_id"):
+    df = ds.to_pandas()
+    return sorted(zip(df[l].tolist(), df[r].tolist()))
+nat = synth.add_nation_diamonds(pq.read_table(f"{sf}/nation.parquet", columns=["n_nationkey"]))
+# with its row count the broadcast join runs as tasks: its actor pool
+# would hold the only CPU its own read tasks wait for
+rows = pq.read_metadata(f"{sf}/lineitem.parquet").num_rows
+out = {
+    "bcast": pairs(spatial.sjoin_pairs(lineitems(sf), nat, right_cols=["n_nationkey"],
+                                       nrows=rows), "l_key", "n_nationkey"),
+    "plain": pairs(spatial.sjoin_cell_partitioned(
+        lineitems(sf), nations_ds(sf), res=9, left_id="l_key", right_id="n_nationkey")),
+    "salted": pairs(spatial.sjoin_cell_partitioned(
+        lineitems(sf), nations_ds(sf), res=9, left_id="l_key", right_id="n_nationkey",
+        salt_threshold=500, n_salts=8, skew_report_dir=report)),
+    "plan": skew.load_plans(report),
+}
+ray.shutdown()
+print(json.dumps(out))
+"""
+
+
+def test_salted_plan_in_one_cpu_session(tmp_path):
+    """A 1-CPU session sizes the exchange to one partition (the sort's
+    single range below int64 max) and the salted plan still matches the
+    unsalted and broadcast plans (``test_salted_join_equals_unsalted``
+    checks the same in the 4-CPU test session)."""
+    env = dict(os.environ, PYTHONPATH=ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    run = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU, SF, str(tmp_path / "report")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-3000:]
+    out = json.loads(run.stdout.strip().splitlines()[-1])
+    assert len(out["bcast"]) > 1000
+    assert out["salted"] == out["plain"] == out["bcast"]
+    (plan,) = out["plan"]
+    assert plan["partitions"] == 1 and plan["max_partition_rows_est"] == 6000

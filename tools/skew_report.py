@@ -1,7 +1,8 @@
 """Straggler-telemetry report for the cell co-partitioned plans
 (r4 verdict next-round #10): runs pip_pairs_cell and overlay_pairs_cell
 at a given sf dir with skew metrics enabled and prints the per-cell
-histogram summaries recorded in skew_metrics.jsonl.
+histogram summaries recorded in skew_metrics.jsonl, then the exchange
+sizing rows of the salted plans recorded in plan_metrics.jsonl.
 
 Usage: python tools/skew_report.py [sf_dir] [out_dir]
 """
@@ -63,6 +64,8 @@ def main() -> None:
     print(f"overlay_pairs_cell: {n} pairs")
 
     for row in skew.load_cell_skew(out_dir):
+        print(json.dumps(row))
+    for row in skew.load_plans(out_dir):
         print(json.dumps(row))
     ray.shutdown()
 
