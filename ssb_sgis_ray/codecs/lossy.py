@@ -33,13 +33,33 @@ def encode_lossy(img: np.ndarray) -> bytes:
     return _MAGIC + struct.pack(">II", w, h) + zlib.compress(q.tobytes(), 6)
 
 
-def decode_lossy(data: bytes) -> np.ndarray:
+# the largest quantized value whose bin center fits in uint8
+_QMAX = (255 - STEP // 2) // STEP
+
+
+def inflate(data: bytes) -> tuple[int, int, bytes]:
+    """Payload -> (w, h, q): the ``h * w * 3`` quantized samples."""
     if not data.startswith(_MAGIC):
         raise ValueError("not a FJPG payload")
     w, h = struct.unpack(">II", data[4:12])
-    q = np.frombuffer(zlib.decompress(data[12:]), dtype=np.uint8).reshape(h, w, 3)
-    # reconstruct at bin centers, clamped to uint8
-    return np.minimum(q.astype(np.uint16) * STEP + STEP // 2, 255).astype(np.uint8)
+    q = zlib.decompress(data[12:])
+    if len(q) != h * w * 3:
+        raise ValueError(f"payload holds {len(q)} samples, header says {w}x{h}")
+    return w, h, q
+
+
+def dequantize(q: np.ndarray) -> np.ndarray:
+    """Quantized uint8 samples -> reconstructed uint8 samples: bin
+    centers, clamped to 255 (uint8 arithmetic, no lookup gather)."""
+    out = q * np.uint8(STEP)
+    out += STEP // 2
+    out[q > _QMAX] = 255
+    return out
+
+
+def decode_lossy(data: bytes) -> np.ndarray:
+    w, h, q = inflate(data)
+    return dequantize(np.frombuffer(q, dtype=np.uint8)).reshape(h, w, 3)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

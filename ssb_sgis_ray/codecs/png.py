@@ -39,8 +39,10 @@ def encode_png(img: np.ndarray) -> bytes:
     return _SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 
-def decode_png(data: bytes) -> np.ndarray:
-    """PNG bytes -> (h, w, 3) uint8. Supports 8-bit RGB, filters 0-4."""
+def inflate(data: bytes) -> tuple[int, int, bytes]:
+    """PNG bytes -> (w, h, scanlines): the inflated IDAT stream, ``h``
+    rows of one filter-type byte followed by ``3 * w`` sample bytes.
+    Supports 8-bit RGB, non-interlaced."""
     if not data.startswith(_SIG):
         raise ValueError("not a PNG")
     pos = 8
@@ -61,9 +63,21 @@ def decode_png(data: bytes) -> np.ndarray:
             idat.extend(body)
         elif tag == b"IEND":
             break
-    raw = np.frombuffer(zlib.decompress(bytes(idat)), dtype=np.uint8)
+    raw = zlib.decompress(bytes(idat))
+    if len(raw) != h * (1 + w * 3):
+        raise ValueError(f"IDAT holds {len(raw)} bytes, IHDR says {w}x{h}")
+    return w, h, raw
+
+
+def decode_png(data: bytes) -> np.ndarray:
+    """PNG bytes -> (h, w, 3) uint8. Supports 8-bit RGB, filters 0-4."""
+    return unfilter(*inflate(data))
+
+
+def unfilter(w: int, h: int, raw: bytes) -> np.ndarray:
+    """Inflated scanlines (see ``inflate``) -> (h, w, 3) uint8."""
     stride = 1 + w * 3
-    rows = raw.reshape(h, stride)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride)
     if not rows[:, 0].any():  # every scanline filter 0 (what encode_png writes)
         return rows[:, 1:].reshape(h, w, 3).copy()
     out = np.zeros((h, w * 3), dtype=np.uint8)

@@ -2,7 +2,9 @@
 
     images (synthesized per input_hint schema, or a materialized table)
       -> FusedFlagshipStage      one map task per read block:
-           decode + per-row invariants (DecodeValidate)
+           decode + per-row invariants (DecodeValidate: zlib per image,
+             then source render, SSE/PSNR and aHash as reductions over
+             flat chunk buffers)
            georeferenced box per image (add_footprints)
            region PIP/intersects join (broadcast nation diamonds, STRtree
              built once per block) — the enrichment step of sgis's
@@ -15,7 +17,10 @@
 
 The per-image chain runs as plain Ray Data tasks, not an actor pool: no
 actor starts per execution, and the task workers keep their imports
-between executions. The region index is 25 diamonds; rebuilding it per
+between executions. Inside a task, decode+validate, footprint, region
+join and cover run over the whole block: per image only the codec's
+inflate (zlib) runs, plus the encode when the images are synthesized
+rather than read. The region index is 25 diamonds; rebuilding it per
 block costs about a millisecond. Uncapped (``concurrency=None``), Ray
 fuses read -> stage into one task operator; Ray 2.49 fuses two task
 operators only when their caps are equal, so a capped stage runs behind

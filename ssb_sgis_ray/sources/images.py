@@ -37,14 +37,41 @@ def image_dims(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (32 + (k * 7) % 33).astype(np.int32), (32 + (k * 11) % 33).astype(np.int32)
 
 
+# channel c of pixel (x, y) is (A[c] x + B[c] y + K[c] key) mod 256
+_A = np.array([3, 7, 4], dtype=np.int64)
+_B = np.array([5, 2, 4], dtype=np.int64)
+_K = np.array([13, 29, 53], dtype=np.int64)
+
+
 def render_pixels(key: int, w: int, h: int) -> np.ndarray:
     """Deterministic (h, w, 3) uint8: gradients + key-seeded mixing."""
-    y, x = np.mgrid[0:h, 0:w]
-    img = np.empty((h, w, 3), dtype=np.uint8)
-    img[:, :, 0] = (x * 3 + y * 5 + key * 13) % 256
-    img[:, :, 1] = (x * 7 + y * 2 + key * 29) % 256
-    img[:, :, 2] = ((x + y) * 4 + key * 53) % 256
-    return img
+    return render_flat([key], [w], [h]).reshape(h, w, 3)
+
+
+def render_flat(keys: np.ndarray, ws: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """``render_pixels`` of every row, back to back in one flat uint8
+    buffer (image i is ``hs[i] * ws[i] * 3`` bytes in (h, w, 3) order).
+
+    No per-pixel division or modulo: with g the pixel's index in the
+    buffer and s its scanline's first index, x = g - s, so a pixel is
+    ``A g mod 256`` (one 256-pixel table, tiled) plus a per-scanline
+    term ``B y + K key - A s`` (repeated along the scanline), added in
+    uint8, whose wraparound is the ``mod 256``."""
+    keys = np.asarray(keys, dtype=np.int64)
+    ws = np.asarray(ws, dtype=np.int64)
+    hs = np.asarray(hs, dtype=np.int64)
+    row_img = np.repeat(np.arange(len(keys)), hs)
+    y = np.arange(len(row_img)) - np.repeat(np.cumsum(hs) - hs, hs)
+    row_w = ws[row_img]
+    s = np.cumsum(row_w) - row_w
+    rowterm = ((y[:, None] * _B + (keys[row_img, None] % 256) * _K
+                - (s[:, None] % 256) * _A) % 256).astype(np.uint8)
+    npix = int(row_w.sum())
+    out = np.resize(((np.arange(256)[:, None] * _A) % 256).astype(np.uint8), (npix, 3))
+    # repeat each scanline's 3-byte term as one 3-byte item
+    out += np.repeat(rowterm.view(np.dtype((np.void, 3))).ravel(), row_w).view(
+        np.uint8).reshape(npix, 3)
+    return out.ravel()
 
 
 def image_fmt(key: np.ndarray) -> np.ndarray:
@@ -131,8 +158,24 @@ class BuildImages:
         )
 
 
+def _validate_row(fmt, blob, w: int, h: int, ph: int, key: int) -> tuple[bool, int]:
+    """One row's checks on whole decoded images -> (decode_ok, psnr_c).
+    The path of rows under 8 px, whose aHash blocks overlap."""
+    img = png.decode_png(blob) if fmt == "png" else lossy.decode_lossy(blob)
+    if img.shape[0] != h or img.shape[1] != w:
+        return False, 0
+    src = render_pixels(key, w, h)
+    p = lossy.psnr(img, src)
+    psnr_c = int(min(p, 99.0) * 100)
+    if fmt == "png" and not np.array_equal(img, src):
+        return False, psnr_c
+    if fmt == "jpeg" and p < 40.0:
+        return False, psnr_c
+    return int(phash.ahash64(img)) == ph, psnr_c
+
+
 class DecodeValidate:
-    """Actor stage: decode bytes, validate the per-row invariants.
+    """Decode every image of a batch and check its per-row invariants:
 
     * decoded dims match (w, h);
     * png: decoded pixels EXACTLY equal the deterministic source;
@@ -140,34 +183,90 @@ class DecodeValidate:
     * phash recomputed from decoded pixels equals the stored phash;
     * caption non-null (byte equality is preserved by construction —
       captions ride through untouched).
-    Emits the row plus decode metrics (psnr_db scaled to int dB*100).
+
+    Appends ``decode_ok`` and ``psnr_c`` (PSNR in dB*100, truncated, 9900
+    for an exact copy, 0 when the dims do not match).
+
+    Per image only the codec runs (``png.inflate`` / ``lossy.inflate``:
+    zlib plus a length check). The rest is a block kernel over chunks of
+    about ``PIXEL_BUDGET`` pixels, one codec at a time: the decoded
+    samples of a chunk go into one flat uint8 buffer, ``render_flat``
+    renders the sources into another, one ``reduceat`` of the squared
+    int16 differences gives each image's integer SSE (exact equality is
+    SSE 0; PSNR comes from it), and ``phash.ahash64_flat`` hashes the
+    chunk. Rows under 8 px take ``_validate_row``.
     """
 
+    PIXEL_BUDGET = 1 << 17
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        fmts = batch["fmt"].to_pylist()
+        fmts = np.array(batch["fmt"].to_pylist(), dtype=object)
         blobs = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy(zero_copy_only=False)
-        hs = batch["h"].to_numpy(zero_copy_only=False)
-        phs = batch["phash"].to_numpy(zero_copy_only=False)
-        keys = batch["ckey"].to_numpy(zero_copy_only=False)
-        ok = np.zeros(len(blobs), dtype=bool)
-        psnr_c = np.zeros(len(blobs), dtype=np.int64)
-        for i, (fmt, blob) in enumerate(zip(fmts, blobs)):
-            img = png.decode_png(blob) if fmt == "png" else lossy.decode_lossy(blob)
-            if img.shape[0] != hs[i] or img.shape[1] != ws[i]:
-                continue
-            src = render_pixels(int(keys[i]), int(ws[i]), int(hs[i]))
-            p = lossy.psnr(img, src)
-            psnr_c[i] = np.int64(min(p, 99.0) * 100)
-            if fmt == "png" and not np.array_equal(img, src):
-                continue
-            if fmt == "jpeg" and p < 40.0:
-                continue
-            if int(phash.ahash64(img)) != int(phs[i]):
-                continue
-            ok[i] = True
+        ws = batch["w"].to_numpy(zero_copy_only=False).astype(np.int64)
+        hs = batch["h"].to_numpy(zero_copy_only=False).astype(np.int64)
+        phs = batch["phash"].to_numpy(zero_copy_only=False).astype(np.int64)
+        keys = batch["ckey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        n = len(blobs)
+        ok = np.zeros(n, dtype=bool)
+        psnr_c = np.zeros(n, dtype=np.int64)
+        small = (ws < 8) | (hs < 8)
+        for i in np.flatnonzero(small):
+            ok[i], psnr_c[i] = _validate_row(
+                fmts[i], blobs[i], int(ws[i]), int(hs[i]), int(phs[i]), int(keys[i]))
+        is_png = fmts == "png"
+        for rows, codec in ((np.flatnonzero(~small & is_png), png),
+                            (np.flatnonzero(~small & ~is_png), lossy)):
+            for idx, raws in _decoded_chunks(rows, codec, blobs, ws, hs, self.PIXEL_BUDGET):
+                ok[idx], psnr_c[idx] = _check_chunk(
+                    raws, codec, fmts[idx], ws[idx], hs[idx], phs[idx], keys[idx])
         t = batch.append_column("decode_ok", pa.array(ok))
         return t.append_column("psnr_c", pa.array(psnr_c, pa.int64()))
+
+
+def _decoded_chunks(rows, codec, blobs, ws, hs, budget: int):
+    """Inflate ``rows`` (all of one codec) in order and yield ``(idx,
+    raws)`` chunks of about ``budget`` pixels, keeping the rows whose
+    decoded dims match (w, h). PNG raws are filter-0 scanlines."""
+    chunk, raws, px = [], [], 0
+    for i in rows:
+        w, h, raw = codec.inflate(blobs[i])
+        if w != ws[i] or h != hs[i]:
+            continue
+        if codec is png and raw[:: 1 + 3 * w].strip(b"\0"):
+            # a filtered scanline: unfilter the image, store it as filter 0
+            pix = png.unfilter(w, h, raw).reshape(h, 3 * w)
+            raw = np.pad(pix, ((0, 0), (1, 0))).tobytes()
+        chunk.append(i)
+        raws.append(raw)
+        px += w * h
+        if px >= budget:
+            yield np.array(chunk), raws
+            chunk, raws, px = [], [], 0
+    if chunk:
+        yield np.array(chunk), raws
+
+
+def _check_chunk(raws, codec, fmt, w, h, ph, key) -> tuple[np.ndarray, np.ndarray]:
+    """The block kernel over one chunk from ``_decoded_chunks`` (per-row
+    arrays ``fmt``, ``w``, ``h``, ``ph``, ``key``) -> (decode_ok, psnr_c)."""
+    pix = np.frombuffer(b"".join(raws), dtype=np.uint8)
+    if codec is png:  # drop each scanline's (zero) filter-type byte
+        line = np.repeat(1 + 3 * w, h)
+        keep = np.ones(len(pix), dtype=bool)
+        keep[np.cumsum(line) - line] = False
+        pix = pix[keep]
+    else:
+        pix = lossy.dequantize(pix)
+    nbytes = 3 * w * h
+    d = pix.astype(np.int16)
+    d -= render_flat(key, w, h)
+    d *= d  # <= 255^2: wraps in int16, exact as uint16
+    sse = np.add.reduceat(d.view(np.uint16), np.cumsum(nbytes) - nbytes, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        p = 10.0 * np.log10(255.0 * 255.0 / (sse / nbytes))
+    good = ~((fmt == "png") & (sse != 0)) & ~((fmt == "jpeg") & (p < 40.0))
+    return (good & (phash.ahash64_flat(pix, w, h) == ph),
+            (np.minimum(p, 99.0) * 100).astype(np.int64))
 
 
 class ResizeValidate:

@@ -3,6 +3,7 @@ partition boundaries, the co-group step and pair equality across plans."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -237,3 +238,53 @@ def test_salted_plan_in_one_cpu_session(tmp_path):
     assert out["salted"] == out["plain"] == out["bcast"]
     (plan,) = out["plan"]
     assert plan["partitions"] == 1 and plan["max_partition_rows_est"] == 6000
+
+
+_ONE_CPU_NO_HINT = r"""
+import json, sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import pyarrow.parquet as pq
+from ssb_sgis_ray import synth
+from ssb_sgis_ray.ops import spatial
+from ssb_sgis_ray.queries import lineitems
+sf = sys.argv[1]
+def pairs(ds):
+    df = ds.to_pandas()
+    return sorted(zip(df["l_key"].tolist(), df["n_nationkey"].tolist()))
+nat = synth.add_nation_diamonds(pq.read_table(f"{sf}/nation.parquet", columns=["n_nationkey"]))
+rows = pq.read_metadata(f"{sf}/lineitem.parquet").num_rows
+out = {
+    "no_hint": pairs(spatial.sjoin_pairs(lineitems(sf), nat, right_cols=["n_nationkey"],
+                                         batch_size=1024)),
+    "hint": pairs(spatial.sjoin_pairs(lineitems(sf), nat, right_cols=["n_nationkey"],
+                                      nrows=rows)),
+}
+ray.shutdown()
+print(json.dumps(out))
+"""
+
+
+def test_broadcast_join_without_row_hint_in_one_cpu_session():
+    """Without ``nrows`` a broadcast join used to start a (1, 8) actor
+    pool, which in a 1-CPU session holds the only CPU its read tasks
+    wait for, and never finished. ``pool_cap`` is 0 there and the join
+    runs as tasks, here over several 1024-row batches; its pairs equal
+    the hinted join's."""
+    env = dict(os.environ, PYTHONPATH=ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_NO_HINT, SF], cwd=ROOT, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the session's raylet and workers too
+        proc.communicate()
+        pytest.fail("the unhinted broadcast join did not finish in 240 s")
+    assert proc.returncode == 0, stderr[-3000:]
+    out = json.loads(stdout.strip().splitlines()[-1])
+    assert len(out["hint"]) > 1000
+    assert out["no_hint"] == out["hint"]
