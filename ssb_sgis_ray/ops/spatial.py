@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..geo import cells, kernels, wkb
-from ..geo.strtree import STRtree
+from ..geo.strtree import NODE_CAP, STRtree
 
 from ..pool import broadcast_map_batches, default_pool
 
@@ -322,51 +322,75 @@ def _tag_polys_with_cells(batch: pa.Table, res: int, id_col: str) -> pa.Table:
 _PAIRS_SCHEMA = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64())])
 
 
+def _point_bbox_pairs(px: np.ndarray, py: np.ndarray, boxes: np.ndarray):
+    """(point, box) index pairs whose closed bbox holds the point.
+
+    Up to ``NODE_CAP`` boxes this is one dense ``(points, boxes)``
+    compare, the STRtree's only level, with no tree built; more boxes go
+    through the STRtree. A NaN box (an empty polygon) never matches.
+    Pairs are the same set either way; the order may differ.
+    """
+    if len(boxes) <= NODE_CAP:
+        hit = (px[:, None] >= boxes[:, 0]) & (px[:, None] <= boxes[:, 2])
+        hit &= (py[:, None] >= boxes[:, 1]) & (py[:, None] <= boxes[:, 3])
+        return np.nonzero(hit)
+    return STRtree(boxes).query_bbox(np.stack([px, py, px, py], axis=1))
+
+
 def _per_cell_pip(group: pa.Table) -> pa.Table:
-    """Join one cell's points with its polygons -> int64 (left_id, right_id)."""
-    is_pt = pc.equal(group["side"], 0)
-    pts = group.select(["left_id", "px", "py"]).filter(is_pt)
-    pls = group.select(["right_id", "geometry_wkb"]).filter(pc.invert(is_pt))
-    if pts.num_rows == 0 or pls.num_rows == 0:
+    """Join one cell's points with its polygons -> int64 (left_id, right_id).
+
+    One numpy mask splits the sides, and only the polygon rows' WKB is
+    decoded."""
+    is_pt = group["side"].to_numpy() == 0
+    pt, pl = np.flatnonzero(is_pt), np.flatnonzero(~is_pt)
+    if len(pt) == 0 or len(pl) == 0:
         return _PAIRS_SCHEMA.empty_table()
-    pg = wkb.decode_polygons(pls["geometry_wkb"])
-    tree = STRtree(kernels.polygon_bounds(pg))
-    px = pts["px"].to_numpy().astype(np.float64)
-    py = pts["py"].to_numpy().astype(np.float64)
-    qi, pi = tree.query_bbox(np.stack([px, py, px, py], axis=1))
+    pg = wkb.decode_polygons(group["geometry_wkb"].take(pl))
+    px = group["px"].to_numpy()[pt].astype(np.float64)
+    py = group["py"].to_numpy()[pt].astype(np.float64)
+    qi, pi = _point_bbox_pairs(px, py, kernels.polygon_bounds(pg))
     if len(qi):
         keep = kernels.points_in_polygon_pairs(px, py, pg, qi, pi)
         qi, pi = qi[keep], pi[keep]
     return pa.table(
         {
-            "left_id": pa.array(pts["left_id"].to_numpy()[qi], pa.int64()),
-            "right_id": pa.array(pls["right_id"].to_numpy()[pi], pa.int64()),
+            "left_id": pa.array(group["left_id"].to_numpy()[pt[qi]], pa.int64()),
+            "right_id": pa.array(group["right_id"].to_numpy()[pl[pi]], pa.int64()),
         }
     )
+
+
+@ray.remote
+def _count_block_cells(block: pa.Table, cell_col: str):
+    c, n = np.unique(block[cell_col].to_numpy(zero_copy_only=False), return_counts=True)
+    return c.astype(np.int64), n.astype(np.int64)
 
 
 def _cell_counts(ds, cell_col: str = "cell") -> tuple[np.ndarray, np.ndarray]:
     """Distinct values of ``cell_col`` in ``ds`` and their row counts.
 
-    Each block counts its own cells in a map task; the driver merges the
-    small per-block tables as they stream in. No exchange runs, and the
-    driver holds O(distinct cells) at a time. Returns (cells, counts),
-    both int64, sorted by cell.
+    One plain Ray task per block of ``ds`` counts its cells; the calling
+    process merges the small per-block counts in block order. On a
+    materialized Dataset no Ray Data execution runs; a lazy one executes
+    once, projected to ``cell_col``. No exchange runs either way, and the
+    calling process holds O(distinct cells) at a time. Returns
+    (cells, counts), both int64, sorted by cell.
     """
+    from ray.data.dataset import MaterializedDataset
 
-    def count_block(b: pa.Table) -> pa.Table:
-        c, n = np.unique(b[cell_col].to_numpy(zero_copy_only=False), return_counts=True)
-        return pa.table({"cell": pa.array(c, pa.int64()), "n": pa.array(n, pa.int64())})
-
-    partial = ds.select_columns([cell_col]).map_batches(
-        count_block, batch_format="pyarrow", batch_size=None)
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.select_columns([cell_col])
+    parts = [_count_block_cells.remote(ref, cell_col)
+             for bundle in ds.iter_internal_ref_bundles()
+             for ref in bundle.block_refs]
     cell = np.empty(0, np.int64)
     n = np.empty(0, np.int64)
-    for part in partial.iter_batches(batch_size=None, batch_format="pyarrow"):
-        cell, inv = np.unique(
-            np.concatenate([cell, part["cell"].to_numpy()]), return_inverse=True)
+    for part in parts:
+        c, k = ray.get(part)
+        cell, inv = np.unique(np.concatenate([cell, c]), return_inverse=True)
         merged = np.zeros(len(cell), np.int64)
-        np.add.at(merged, inv, np.concatenate([n, part["n"].to_numpy()]))
+        np.add.at(merged, inv, np.concatenate([n, k]))
         n = merged
     return cell, n
 
@@ -385,8 +409,8 @@ def _co_group(ds, key: str, kernel, boundaries=None):
     where a new partition starts) it runs ``len(boundaries) + 1`` reducers
     and no sampling pass; ``None`` samples boundaries and runs one reducer
     per input block. A sort reducer emits one sorted block, so a key never
-    straddles blocks, and one ``map_batches`` over whole blocks cuts each
-    block at key changes.
+    straddles blocks, and one ``map_batches`` over whole blocks runs
+    ``_per_key`` on each.
     """
     if boundaries is None:
         ds = ds.sort(key)
@@ -394,15 +418,20 @@ def _co_group(ds, key: str, kernel, boundaries=None):
         # Ray samples when it gets no boundaries: one partition is the
         # range below int64 max (a second reducer gets only that value)
         ds = ds.sort(key, boundaries=[int(b) for b in boundaries] or [_INT64_MAX])
+    return ds.map_batches(_per_key, fn_args=(key, kernel), batch_format="pyarrow",
+                          batch_size=None)
 
-    def per_key(block: pa.Table):
-        k = block[key].to_numpy()
+
+def _per_key(block: pa.Table, key: str, kernel):
+    """Cut a ``key``-sorted block at key changes, call ``kernel`` once per
+    key, and yield one table: the outputs of all keys concatenated (they
+    must share a schema). An empty block yields nothing."""
+    k = block[key].to_numpy()
+    if len(k):
         cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
-        if len(k):
-            for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(k)].tolist()):
-                yield kernel(block.slice(a, b - a))
-
-    return ds.map_batches(per_key, batch_format="pyarrow", batch_size=None)
+        yield pa.concat_tables([
+            kernel(block.slice(a, b - a))
+            for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(k)].tolist())])
 
 
 def _partition_boundaries(keys, weights, n_parts: int) -> list[int]:
@@ -491,9 +520,12 @@ def sjoin_cell_partitioned(
     The salted plan (``salt_threshold`` set) sizes its exchange from its
     own histogram, all before this function returns:
 
-    1. histogram: each block counts its left rows per cell in a map task
-       and the calling process merges the counts (``_cell_counts``, no
-       shuffle);
+    1. histogram: the tagged left is materialized, once; one Ray task per
+       block counts its rows per cell and the calling process merges the
+       counts (``_cell_counts``, no shuffle). Salting and the join read
+       the same blocks, so the left is read and tagged once per query;
+       the tagged left (~45 B a row) stays in the object store, spilled
+       by Ray past its capacity, while the returned Dataset lives;
     2. salts: cells above the threshold ("urban hotspots") are hot. Their
        left rows split into ``n_salts`` sub-keys by a hash of the left id
        (``_salt_left``) and their right rows are replicated to every
@@ -505,13 +537,15 @@ def sjoin_cell_partitioned(
     5. co-group: one sort on those boundaries (no sampling pass, P
        reducers) and one kernel call per key (``_co_group``).
 
-    Without ``salt_threshold`` nothing is counted and the sort samples its
-    boundaries, one reducer per input block.
+    Without ``salt_threshold`` nothing is counted or materialized: the
+    left streams, and the sort samples its boundaries, one reducer per
+    input block.
 
     ``skew_report_dir``: when set, the post-salting per-cell row
     histogram is summarized into <dir>/skew_metrics.jsonl (straggler
-    telemetry — state.skew) at the cost of one extra tagging pass, and
-    the plan's sizing is appended to <dir>/plan_metrics.jsonl.
+    telemetry — state.skew) at the cost of one extra execution of the
+    salting and the right side's tagging, and the plan's sizing is
+    appended to <dir>/plan_metrics.jsonl.
     """
     lt = left.map_batches(
         lambda b: _tag_points_with_cells(b, res, left_id, x_col, y_col),
@@ -526,6 +560,8 @@ def sjoin_cell_partitioned(
     plan = {"est_rows": None, "hot_cells": 0, "n_salts": n_salts,
             "partitions": None, "max_partition_rows_est": None}
     if salt_threshold is not None:
+        # tagged once: the histogram and the join both read these blocks
+        lt = lt.materialize()
         cell, n = _cell_counts(lt)  # the skew histogram, no shuffle
         hot = cell[n > salt_threshold]
         keys, weights = _shuffle_keys(cell, n, hot, n_salts)

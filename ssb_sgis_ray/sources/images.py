@@ -9,8 +9,9 @@ with no external data:
 * pixel content is a pure function of a ``content_key``; every 100th doc
   reuses its predecessor's key -> ~1% exact duplicate images (dedup
   fixture, FIXTURES.md §1);
-* fmt alternates png (lossless roundtrip) / jpeg (lossy stand-in codec,
-  PSNR >= 40 dB by construction — see codecs/lossy.py);
+* fmt alternates png (lossless roundtrip) / jpeg (lossy stand-in codec:
+  PSNR >= 36.1 dB by construction; >= 40 dB holds on the generated
+  32-64 px images but not on every tiny one — see codecs/lossy.py);
 * phash is the REAL average-hash of the decoded pixels (codecs/phash.py),
   so identical-content rows collide and lossy copies stay consistent;
 * the georeferenced footprint (a box in the synthetic CRS) is derived from

@@ -9,10 +9,11 @@ max / median / p90 / p99 / skew ratio — so the salting threshold
 (`sjoin_cell_partitioned(salt_threshold=...)`) is tuned from recorded
 evidence rather than guessed.
 
-The histogram pass projects ONLY the cell column and counts cells per
-block in a map (``ops.spatial._cell_counts``): no shuffle runs, and the
-driver merges one small table per block. Enabling telemetry still
-re-executes the upstream cell tagging once more, so it is opt-in per
+The histogram pass projects ONLY the cell column and counts cells in one
+Ray task per block (``ops.spatial._cell_counts``): no shuffle runs, and
+the calling process merges one small count per block. Enabling
+telemetry still re-executes the upstream salting and right-side tagging
+once more (the salted plan's left is materialized), so it is opt-in per
 run, not always-on.
 
 The same directory gets one plan row per sized exchange in

@@ -157,6 +157,31 @@ def test_random_shapes_and_keys():
     assert all(ok for ok, b in zip(out["decode_ok"].to_pylist(), big) if b)
 
 
+def test_tiny_lossy_image_under_40_db_fails_validation():
+    """The lossy codec does not guarantee 40 dB: the 1x5 lossy image of
+    key 8 decodes at 39.17 dB, and the kernel rejects it as the per-row
+    reference does."""
+    src = _old_render(8, 1, 5)
+    assert lossy.psnr(lossy.decode_lossy(lossy.encode_lossy(src)), src) == \
+        pytest.approx(39.1729, abs=1e-4)
+    out = _assert_same(_table([_row(8, 1, 5, "jpeg"), _row(8, 40, 36, "jpeg")]))
+    assert out["decode_ok"].to_pylist() == [False, True]
+    assert out["psnr_c"].to_pylist()[0] == 3917
+
+
+def test_lossy_error_bound():
+    """The codec's real bound: error -3..4 on every sample value (the top
+    bin's center 252 needs no clamp), so PSNR >= 36.1 dB, reached when
+    every sample is a multiple of 8."""
+    ramp = np.arange(256, dtype=np.uint8).reshape(16, 16, 1).repeat(3, axis=2)
+    err = lossy.decode_lossy(lossy.encode_lossy(ramp)).astype(int) - ramp
+    assert err.min() == -3 and err.max() == 4
+    for v in (0, 8, 248):
+        flat = np.full((8, 8, 3), v, np.uint8)
+        p = lossy.psnr(lossy.decode_lossy(lossy.encode_lossy(flat)), flat)
+        assert p == pytest.approx(10 * np.log10(255**2 / 16))
+
+
 def test_each_failure_kind():
     w, h = 40, 36
     flipped = _old_render(11, w, h)

@@ -1,11 +1,14 @@
 """The salted cell join's exchange: salt evenness, histogram-sized
-partition boundaries, the co-group step and pair equality across plans."""
+partition boundaries, the co-group step, the per-cell kernel against a
+brute-force reference, tagging the left once, and pair equality across
+plans."""
 
 import json
 import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -13,8 +16,10 @@ import pyarrow.parquet as pq
 import pytest
 
 from ssb_sgis_ray import synth
-from ssb_sgis_ray.geo import cells
+from ssb_sgis_ray.geo import cells, wkb
+from ssb_sgis_ray.geo.strtree import NODE_CAP
 from ssb_sgis_ray.ops import spatial
+from ssb_sgis_ray.queries import lineitems, nations_ds
 from test_ops_spatial import SF
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -187,6 +192,184 @@ def test_co_group_calls_kernel_once_per_key(ray_session):
         assert sorted(out["k"]) == sorted(want)  # one call per key
         for k, n, s in zip(out["k"], out["n"], out["s"]):
             assert (n, s) == (len(want[k]), sum(want[k]))
+
+
+def test_co_group_emits_one_table_per_block():
+    """The whole-block step calls the kernel once per key and yields one
+    table per block holding every key's output; an empty block yields
+    nothing."""
+    calls = []
+
+    def kernel(g: pa.Table) -> pa.Table:
+        calls.append(g.num_rows)
+        return pa.table({"k": pa.array([g["k"][0].as_py()], pa.int64()),
+                         "n": pa.array([g.num_rows], pa.int64())})
+
+    keys = np.repeat(np.array([-4, 0, 3, 9, 2**40], np.int64), [3, 1, 5, 2, 4])
+    block = pa.concat_tables([pa.table({"k": keys[:6]}), pa.table({"k": keys[6:]})])
+    (out,) = list(spatial._per_key(block, "k", kernel))
+    assert calls == [3, 1, 5, 2, 4]
+    assert out.to_pydict() == {"k": [-4, 0, 3, 9, 2**40], "n": [3, 1, 5, 2, 4]}
+    assert list(spatial._per_key(block.slice(0, 0), "k", kernel)) == []
+
+
+def test_salted_plan_tags_its_left_once(ray_session, tmp_path):
+    """The salted plan runs a left-side map once per left block: the
+    histogram and the join read the same tagged blocks. Its pairs equal
+    the unsalted and broadcast plans'."""
+    import ray.data as rd
+
+    table = pa.Table.from_pandas(lineitems(SF).to_pandas(), preserve_index=False)
+    blocks = [table.slice(i, 2000) for i in range(0, table.num_rows, 2000)]
+    assert len(blocks) == 3
+    log = str(tmp_path / "calls")
+
+    def counted(b: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write(f"{b.num_rows}\n")
+        return b
+
+    def pairs(ds, left="left_id", right="right_id"):
+        df = ds.to_pandas()
+        return sorted(zip(df[left].tolist(), df[right].tolist()))
+
+    left = rd.from_arrow(blocks).map_batches(counted, batch_format="pyarrow",
+                                             batch_size=None)
+    salted = pairs(spatial.sjoin_cell_partitioned(
+        left, nations_ds(SF), res=9, left_id="l_key", right_id="n_nationkey",
+        salt_threshold=500, n_salts=8))
+    with open(log) as f:
+        assert sorted(int(x) for x in f) == [2000, 2000, 2000]
+
+    plain = pairs(spatial.sjoin_cell_partitioned(
+        rd.from_arrow(blocks), nations_ds(SF), res=9, left_id="l_key",
+        right_id="n_nationkey"))
+    nat = synth.add_nation_diamonds(
+        pq.read_table(f"{SF}/nation.parquet", columns=["n_nationkey"]))
+    bcast = pairs(spatial.sjoin_pairs(rd.from_arrow(blocks), nat,
+                                      right_cols=["n_nationkey"]),
+                  "l_key", "n_nationkey")
+    assert len(bcast) > 1000
+    assert salted == plain == bcast
+
+
+# ---------------------------------------------------------------------------
+# the per-cell kernel against a brute-force reference
+# ---------------------------------------------------------------------------
+
+
+def _on_segment(x, y, a, b) -> bool:
+    (x1, y1), (x2, y2) = a, b
+    return ((x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)
+            and min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2))
+
+
+def _covers(rings, x, y) -> bool:
+    """Boundary-inclusive point-in-polygon, one edge at a time: on an edge
+    of any ring, or inside by even-odd ray crossings over all rings."""
+    inside = False
+    for ring in rings:
+        for a, b in zip(ring[:-1].tolist(), ring[1:].tolist()):
+            if _on_segment(x, y, a, b):
+                return True
+            (x1, y1), (x2, y2) = a, b
+            if (y1 > y) != (y2 > y) and x < x1 + (y - y1) * (x2 - x1) / (y2 - y1):
+                inside = not inside
+    return inside
+
+
+def _ring(*xy) -> np.ndarray:
+    return np.array(list(xy) + [xy[0]], np.float64)
+
+
+def _diamond(cx, cy, r) -> list[np.ndarray]:
+    return [_ring((cx + r, cy), (cx, cy + r), (cx - r, cy), (cx, cy - r))]
+
+
+def _cell_group(points, polys, seed: int) -> pa.Table:
+    """One exchange group in the tagged row layout: point rows (left_id,
+    x, y) and polygon rows (right_id, rings) in shuffled order, as two
+    chunks."""
+    n_pt, n_pl = len(points), len(polys)
+    lid, px, py = np.array(points, np.int64).reshape(n_pt, 3).T
+    rid = np.array([r for r, _ in polys], np.int64)
+    t = pa.table({
+        "cell": pa.array(np.zeros(n_pt + n_pl, np.int64)),
+        "side": pa.array(np.r_[np.zeros(n_pt), np.ones(n_pl)].astype(np.int8)),
+        "left_id": pa.array(np.r_[lid, np.full(n_pl, -1)], pa.int64()),
+        "px": pa.array(np.r_[px, np.zeros(n_pl, np.int64)], pa.int64()),
+        "py": pa.array(np.r_[py, np.zeros(n_pl, np.int64)], pa.int64()),
+        "right_id": pa.array(np.r_[np.full(n_pt, -1), rid], pa.int64()),
+        "geometry_wkb": pa.array([None] * n_pt + [wkb.encode_polygon(g) for _, g in polys],
+                                 pa.binary()),
+    })
+    t = t.take(np.random.default_rng(seed).permutation(t.num_rows))
+    return pa.concat_tables([t.slice(0, t.num_rows // 2), t.slice(t.num_rows // 2)])
+
+
+def _grid_points(x0, x1, y0, y1):
+    """Every integer point of the box: on edges and vertices of the
+    integer-vertex fixtures, inside and outside them."""
+    xs, ys = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+    return [(1000 + i, int(x), int(y)) for i, (x, y) in enumerate(zip(xs.ravel(), ys.ravel()))]
+
+
+def _assert_kernel_matches_reference(points, polys, monkeypatch, trees: int):
+    built = []
+
+    class CountingTree(spatial.STRtree):
+        def __init__(self, boxes):
+            built.append(len(boxes))
+            super().__init__(boxes)
+
+    monkeypatch.setattr(spatial, "STRtree", CountingTree)
+    out = spatial._per_cell_pip(_cell_group(points, polys, seed=len(polys)))
+    assert out.schema == spatial._PAIRS_SCHEMA
+    want = Counter((lid, rid) for lid, x, y in points for rid, rings in polys
+                   if _covers(rings, x, y))
+    assert Counter(zip(out["left_id"].to_pylist(), out["right_id"].to_pylist())) == want
+    assert len(built) == trees
+    return want
+
+
+_HOLED = [_ring((0, 0), (40, 0), (40, 40), (0, 40)),
+          _ring((10, 10), (10, 30), (30, 30), (30, 10))]
+
+
+def test_per_cell_pip_one_node_of_polygons(monkeypatch):
+    """At most NODE_CAP polygons: one dense bbox compare, no tree. Edges
+    and vertices match, the hole does not (its boundary does), the empty
+    polygon never matches."""
+    polys = [(1, _diamond(20, 20, 10)), (2, _diamond(30, 20, 10)), (3, _HOLED),
+             (4, []), (5, [_ring((50, 0), (60, 0), (50, 10))])]
+    want = _assert_kernel_matches_reference(
+        _grid_points(-2, 62, -2, 42), polys, monkeypatch, trees=0)
+    by_poly = Counter(rid for _, rid in want)
+    assert 4 not in by_poly and min(by_poly.values()) > 20
+    assert (1000 + 2 * 65 + 2, 3) in want  # vertex (0, 0) of the holed square
+    hole_centre = 1000 + 22 * 65 + 22
+    assert (hole_centre, 3) not in want and (hole_centre, 1) in want
+    # a full node still takes the dense compare
+    node = [(10 + i, _diamond(4 * i, 0, 3)) for i in range(NODE_CAP)]
+    _assert_kernel_matches_reference(_grid_points(-4, 64, -4, 4), node, monkeypatch, trees=0)
+
+
+def test_per_cell_pip_twenty_overlapping_diamonds(monkeypatch):
+    """More than NODE_CAP polygons in one cell go through the STRtree;
+    the pair multiset is the reference's either way."""
+    polys = [(100 + i, _diamond(10 + 3 * i, 20 + 2 * (i % 4), 6 + i % 5))
+             for i in range(20)] + [(200, []), (201, _HOLED)]
+    want = _assert_kernel_matches_reference(
+        _grid_points(-2, 80, 8, 42), polys, monkeypatch, trees=1)
+    assert len({rid for _, rid in want}) == 21
+
+
+def test_per_cell_pip_only_an_empty_polygon():
+    """Points beside nothing but an empty polygon (NaN bounds) give typed
+    empty int64 pairs, as one-sided groups do
+    (``test_ops_spatial.test_per_cell_pip_arrow_groups``)."""
+    group = _cell_group([(1, 5, 5), (2, 6, 6)], [(8, [])], seed=0)
+    assert spatial._per_cell_pip(group).equals(spatial._PAIRS_SCHEMA.empty_table())
 
 
 _ONE_CPU = r"""
