@@ -410,28 +410,62 @@ def _co_group(ds, key: str, kernel, boundaries=None):
     and no sampling pass; ``None`` samples boundaries and runs one reducer
     per input block. A sort reducer emits one sorted block, so a key never
     straddles blocks, and one ``map_batches`` over whole blocks runs
-    ``_per_key`` on each.
+    ``_per_key`` on each; with ``boundaries``, ``_per_key_halves``.
+
+    Why halves: Ray Data starts the map stage behind the sort one task at
+    a time until a task reports its output size (until then it sizes each
+    task's output at the target block size against the operator's memory
+    budget). A sized exchange has about one reducer block per CPU, so its
+    kernel tasks ran back to back on one worker; each now spans two CPUs.
     """
     if boundaries is None:
         ds = ds.sort(key)
+        fn = _per_key
     else:
         # Ray samples when it gets no boundaries: one partition is the
         # range below int64 max (a second reducer gets only that value)
         ds = ds.sort(key, boundaries=[int(b) for b in boundaries] or [_INT64_MAX])
-    return ds.map_batches(_per_key, fn_args=(key, kernel), batch_format="pyarrow",
+        fn = _per_key_halves
+    return ds.map_batches(fn, fn_args=(key, kernel), batch_format="pyarrow",
                           batch_size=None)
 
 
-def _per_key(block: pa.Table, key: str, kernel):
-    """Cut a ``key``-sorted block at key changes, call ``kernel`` once per
-    key, and yield one table: the outputs of all keys concatenated (they
-    must share a schema). An empty block yields nothing."""
+def _run_keys(block: pa.Table, key: str, kernel) -> pa.Table:
+    """Cut a non-empty ``key``-sorted block at key changes, call ``kernel``
+    once per key and concatenate the outputs (they must share a schema)."""
     k = block[key].to_numpy()
-    if len(k):
-        cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
-        yield pa.concat_tables([
-            kernel(block.slice(a, b - a))
-            for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(k)].tolist())])
+    cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
+    return pa.concat_tables([
+        kernel(block.slice(a, b - a))
+        for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(k)].tolist())])
+
+
+_run_keys_task = ray.remote(_run_keys)
+
+
+def _per_key(block: pa.Table, key: str, kernel):
+    """Yield ``_run_keys`` of a ``key``-sorted block as one table: the
+    outputs of all keys concatenated. An empty block yields nothing."""
+    if block.num_rows:
+        yield _run_keys(block, key, kernel)
+
+
+def _per_key_halves(block: pa.Table, key: str, kernel):
+    """``_per_key`` on two CPUs: the keys before the key edge nearest the
+    block's middle row run in a nested Ray task while this task runs the
+    rest. Same kernel calls and one table out, in key order. A block of
+    one key runs here whole."""
+    k = block[key].to_numpy()
+    if not len(k):
+        return
+    cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
+    if not len(cuts):
+        yield _run_keys(block, key, kernel)
+        return
+    j = int(cuts[np.argmin(np.abs(cuts - len(k) // 2))])
+    head = _run_keys_task.remote(block.slice(0, j), key, kernel)
+    tail = _run_keys(block.slice(j), key, kernel)
+    yield pa.concat_tables([ray.get(head), tail])
 
 
 def _partition_boundaries(keys, weights, n_parts: int) -> list[int]:
@@ -535,7 +569,8 @@ def sjoin_cell_partitioned(
     4. P partitions: one per session CPU, more when the estimated exchange
        bytes exceed one Ray block each, at most one per key;
     5. co-group: one sort on those boundaries (no sampling pass, P
-       reducers) and one kernel call per key (``_co_group``).
+       reducers) and one kernel call per key (``_co_group``), each
+       reducer block's keys split over two CPUs (``_per_key_halves``).
 
     Without ``salt_threshold`` nothing is counted or materialized: the
     left streams, and the sort samples its boundaries, one reducer per

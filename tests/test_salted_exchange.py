@@ -213,6 +213,31 @@ def test_co_group_emits_one_table_per_block():
     assert list(spatial._per_key(block.slice(0, 0), "k", kernel)) == []
 
 
+def test_per_key_halves_runs_the_head_keys_in_a_nested_task(ray_session):
+    """The sized exchange's step makes the same kernel calls as
+    ``_per_key`` and yields one table in key order; the keys before the
+    middle row's key edge run in another process, the rest in the caller.
+    A one-key block and an empty block stay in the caller / yield nothing."""
+    def kernel(g: pa.Table) -> pa.Table:
+        return pa.table({"k": pa.array([g["k"][0].as_py()], pa.int64()),
+                         "n": pa.array([g.num_rows], pa.int64()),
+                         "pid": pa.array([os.getpid()], pa.int64())})
+
+    keys = np.repeat(np.array([-4, 0, 3, 9, 2**40], np.int64), [3, 1, 5, 2, 4])
+    block = pa.table({"k": keys})
+    (out,) = list(spatial._per_key_halves(block, "k", kernel))
+    (ref,) = list(spatial._per_key(block, "k", kernel))
+    assert out.select(["k", "n"]).equals(ref.select(["k", "n"]))
+    # key edges at rows 3, 4, 9, 11; row 9 is nearest to 15 // 2 = 7, so
+    # the head is keys -4, 0, 3
+    pid = out["pid"].to_pylist()
+    assert pid[3:] == [os.getpid()] * 2 and os.getpid() not in pid[:3]
+
+    (one,) = list(spatial._per_key_halves(block.slice(4, 5), "k", kernel))
+    assert one.to_pydict() == {"k": [3], "n": [5], "pid": [os.getpid()]}
+    assert list(spatial._per_key_halves(block.slice(0, 0), "k", kernel)) == []
+
+
 def test_salted_plan_tags_its_left_once(ray_session, tmp_path):
     """The salted plan runs a left-side map once per left block: the
     histogram and the join read the same tagged blocks. Its pairs equal
