@@ -7,17 +7,22 @@ complement; split returns a matched flag) and the sjoin-pairs projection of
 ``get_neighbor_indices`` (neighbors.py:19-116), as Ray Data plans:
 
 * **broadcast path** (small right side): the right geometry table is
-  ``ray.put`` ONCE; each actor in the ``map_batches`` pool decodes it and
-  builds an STRtree in ``__init__`` — never per batch. This is the
-  "broadcast small side" plan from SURVEY.md §2.4.
+  ``ray.put`` once, and one stage, ``SFilter``, answers every left kind
+  (point, polygon, line) and every mode (semi, anti, split, pairs) from
+  one STRtree query and one predicate kernel call per batch. It decodes
+  the right side and builds its STRtree when constructed: once per actor
+  in an actor pool, but once per batch where the input runs as tasks
+  (small inputs and 1-CPU sessions, pool.broadcast_map_batches) and once
+  per block in the flagship's fused task. This is the "broadcast small
+  side" plan from SURVEY.md §2.4.
 * **cell co-partition path** (both sides large): both sides are flat-mapped
   to their covering cells (cells.cover_bbox), tagged, unioned, and joined
-  per cell after one sort-shuffle (``_co_group`` for the pairs join,
-  sized from its own cell histogram when salted; ``groupby(cell)
-  .map_groups`` for ``sfilter_cell``); pair duplicates from
-  multi-cell geometries are removed by a keep-first dedup on
-  (left_id, right_id) — the halo-dedup discipline of the reference's
-  ``gridloop`` (bounds.py:16-173).
+  per cell over Arrow groups after one sort (``_co_group``; the pairs
+  join sizes it from its own cell histogram when salted). Pair
+  duplicates from multi-cell geometries are removed by a distinct on
+  the left id (``sfilter_cell``) — the halo-dedup discipline of the
+  reference's ``gridloop`` (bounds.py:16-173); a point lies in one cell,
+  so the point-left pairs join has none.
 
 Predicates: the reference's vocabulary (geo.kernels.PREDICATES), default
 'intersects' (boundary-inclusive). ``sfilter`` takes one name or, in split
@@ -29,7 +34,6 @@ from __future__ import annotations
 from typing import Literal
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -37,84 +41,19 @@ import ray
 from ..geo import cells, kernels, wkb
 from ..geo.strtree import NODE_CAP, STRtree
 
-from ..pool import broadcast_map_batches, default_pool
+from ..pool import broadcast_map_batches
 
 Mode = Literal["semi", "anti", "split", "pairs"]
 
 
 class _BroadcastIndex:
-    """Decoded right side + STRtree, built once from a ray.put'd table."""
+    """Decoded right side + STRtree, built from a ray.put'd table."""
 
     def __init__(self, right_ref):
         right: pa.Table = ray.get(right_ref)
         self.table = right
         self.pg = wkb.decode_polygons(right["geometry_wkb"])
-        self.bounds = kernels.polygon_bounds(self.pg)
-        self.tree = STRtree(self.bounds)
-
-    def match_points(self, px: np.ndarray, py: np.ndarray):
-        """(pt_idx, poly_idx) 'intersects' pairs for points."""
-        qboxes = np.stack([px, py, px, py], axis=1).astype(np.float64)
-        qi, pi = self.tree.query_bbox(qboxes)
-        if len(qi) == 0:
-            return qi, pi
-        keep = kernels.points_in_polygon_pairs_predicate(
-            px.astype(np.float64), py.astype(np.float64), self.pg, qi, pi,
-            "intersects",
-        )
-        return qi[keep], pi[keep]
-
-    def match_polygons(self, left_pg: wkb.PolygonArray):
-        """(left_idx, poly_idx) 'intersects' pairs for polygons."""
-        lb = kernels.polygon_bounds(left_pg)
-        qi, pi = self.tree.query_bbox(lb)
-        if len(qi) == 0:
-            return qi, pi
-        keep = kernels.polygon_predicate_pairs(
-            left_pg, self.pg, qi, pi, "intersects")
-        return qi[keep], pi[keep]
-
-
-class PIPJoin:
-    """Actor-pool stage: inner spatial join point->polygon, emitting one
-    output row per matching (point, polygon) pair with selected right
-    columns appended (suffix handling as in clean_overlay step 7)."""
-
-    def __init__(self, right_ref, right_cols: list[str], x_col="px", y_col="py"):
-        self.idx = _BroadcastIndex(right_ref)
-        self.right_cols = right_cols
-        self.x_col = x_col
-        self.y_col = y_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        px = batch[self.x_col].to_numpy(zero_copy_only=False)
-        py = batch[self.y_col].to_numpy(zero_copy_only=False)
-        qi, pi = self.idx.match_points(px, py)
-        left = batch.take(pa.array(qi, pa.int64()))
-        for c in self.right_cols:
-            col = self.idx.table[c].take(pa.array(pi, pa.int64()))
-            name = f"{c}_2" if c in left.column_names else c
-            left = left.append_column(name, col)
-        return left
-
-
-class PolyPolyPairs:
-    """Polygon-left inner join pairs (left id cols × right cols)."""
-
-    def __init__(self, right_ref, right_cols: list[str], wkb_col="geometry_wkb"):
-        self.idx = _BroadcastIndex(right_ref)
-        self.right_cols = right_cols
-        self.wkb_col = wkb_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        left_pg = wkb.decode_polygons(batch[self.wkb_col])
-        qi, pi = self.idx.match_polygons(left_pg)
-        left = batch.take(pa.array(qi, pa.int64()))
-        for c in self.right_cols:
-            col = self.idx.table[c].take(pa.array(pi, pa.int64()))
-            name = f"{c}_2" if c in left.column_names else c
-            left = left.append_column(name, col)
-        return left
+        self.tree = STRtree(kernels.polygon_bounds(self.pg))
 
 
 def _left_points(cols):
@@ -143,43 +82,67 @@ _LEFT_KINDS = {
 }
 
 
+def _candidate_masks(decode, kernel, left_cols, right_pg, tree, predicate):
+    """One STRtree query and one kernel call: the left row count, the
+    candidate (left, right) index pairs ``qi, pi`` and the (k, n_pairs)
+    bool masks of predicate name k on them."""
+    left, boxes = decode(left_cols)
+    k = len(kernels.predicate_names(predicate))
+    qi, pi = tree.query_bbox(boxes)
+    masks = np.zeros((k, 0), dtype=bool)
+    if len(qi):
+        masks = np.reshape(kernel(*left, right_pg, qi, pi, predicate), (k, len(qi)))
+    return len(boxes), qi, pi, masks
+
+
 def _match_masks(decode, kernel, left_cols, right_pg, tree, predicate):
     """(k, n_left) bool: left row i satisfies predicate name k against
-    some right geometry — one STRtree query, one kernel call."""
-    left, boxes = decode(left_cols)
-    names = kernels.predicate_names(predicate)
-    matched = np.zeros((len(names), len(boxes)), dtype=bool)
-    qi, pi = tree.query_bbox(boxes)
-    if len(qi):
-        masks = kernel(*left, right_pg, qi, pi, predicate)
-        k, pair = np.nonzero(np.reshape(masks, (len(names), len(qi))))
-        matched[k, qi[pair]] = True  # any match keeps the row
+    some right geometry."""
+    n, qi, _, masks = _candidate_masks(
+        decode, kernel, left_cols, right_pg, tree, predicate)
+    matched = np.zeros((len(masks), n), dtype=bool)
+    k, pair = np.nonzero(masks)
+    matched[k, qi[pair]] = True  # any match keeps the row
     return matched
 
 
 class SFilter:
-    """Actor-pool stage: semi/anti/split filter of point, polygon or line
-    lefts against the broadcast polygons.
+    """Broadcast join stage of point, polygon or line lefts (``px``/``py``
+    or ``geometry_wkb`` columns) against the ray.put'd polygons.
 
-    State (decoded polygons + STRtree) is built once per actor in
-    ``__init__``; ``__call__`` handles one Arrow batch, fully vectorized.
-    ``predicate`` is one name, or (split mode) a sequence of names that
-    each get a ``matched_<name>`` column from the same candidate pairs."""
+    The decoded polygons and their STRtree are built in ``__init__``, so
+    once per actor in a pool and once per batch or block where the stage
+    runs as tasks; ``__call__`` handles one Arrow batch, fully
+    vectorized. Modes: semi / anti keep the left rows that match / do not
+    match; split appends a ``matched`` column, or with a sequence of
+    predicate names one ``matched_<name>`` column per name from the same
+    candidate pairs; pairs emits one row per matching (left, right) pair,
+    the left row's columns plus ``right_cols`` (``<name>_2`` on a clash
+    with a left column)."""
 
     def __init__(self, right_ref, mode: Mode = "semi",
                  left_kind: str = "point", predicate="intersects",
-                 x_col="px", y_col="py", wkb_col="geometry_wkb"):
+                 right_cols=()):
         self.idx = _BroadcastIndex(right_ref)
         self.decode, kernel = _LEFT_KINDS[left_kind]
         self.kernel = getattr(kernels, kernel)
-        self.cols = (x_col, y_col) if left_kind == "point" else (wkb_col,)
+        self.cols = ("px", "py") if left_kind == "point" else ("geometry_wkb",)
         self.mode = mode
         self.predicate = predicate
+        self.right_cols = right_cols
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        matched = _match_masks(
-            self.decode, self.kernel, [batch[c] for c in self.cols],
-            self.idx.pg, self.idx.tree, self.predicate)
+        args = (self.decode, self.kernel, [batch[c] for c in self.cols],
+                self.idx.pg, self.idx.tree, self.predicate)
+        if self.mode == "pairs":
+            _, qi, pi, masks = _candidate_masks(*args)
+            out = batch.take(pa.array(qi[masks[0]], pa.int64()))
+            right = pa.array(pi[masks[0]], pa.int64())
+            for c in self.right_cols:
+                name = f"{c}_2" if c in out.column_names else c
+                out = out.append_column(name, self.idx.table[c].take(right))
+            return out
+        matched = _match_masks(*args)
         if self.mode == "semi":
             return batch.filter(pa.array(matched[0]))
         if self.mode == "anti":
@@ -191,9 +154,11 @@ class SFilter:
         return batch
 
 
-def broadcast_table(table: pa.Table):
-    """ray.put the small side once; pass the ref into actor pools."""
-    return ray.put(table)
+def _check_left_kind(left_kind, kinds):
+    """Plan-time check of a join's ``left_kind`` against ``kinds``."""
+    if left_kind not in kinds:
+        raise ValueError(
+            f"left_kind must be one of {tuple(kinds)}, got {left_kind!r}")
 
 
 def _check_predicate(predicate, mode, modes):
@@ -237,13 +202,11 @@ def sfilter(
     names, an empty or duplicate sequence, or a sequence outside split
     mode raise ValueError here, before anything executes."""
     predicate = _check_predicate(predicate, mode, ("semi", "anti", "split"))
-    if left_kind not in _LEFT_KINDS:
-        raise ValueError(f"unknown left_kind {left_kind!r}")
-    ref = broadcast_table(right_table)
+    _check_left_kind(left_kind, _LEFT_KINDS)
     return broadcast_map_batches(
         left,
         SFilter,
-        fn_constructor_kwargs={"right_ref": ref, "mode": mode,
+        fn_constructor_kwargs={"right_ref": ray.put(right_table), "mode": mode,
                                "left_kind": left_kind,
                                "predicate": predicate},
         batch_size=batch_size,
@@ -256,18 +219,22 @@ def sjoin_pairs(
     left,
     right_table: pa.Table,
     right_cols: list[str],
-    left_kind: Literal["point", "polygon"] = "point",
+    left_kind: Literal["point", "polygon", "line"] = "point",
     concurrency=None,
     batch_size: int = 32768,
     nrows=None,
 ):
-    """Inner spatial join (one row per matching pair), broadcast plan."""
-    ref = broadcast_table(right_table)
-    cls = PIPJoin if left_kind == "point" else PolyPolyPairs
+    """Inner 'intersects' spatial join, broadcast plan: one row per
+    matching (left, right) pair, the left row's columns plus
+    ``right_cols`` (``SFilter`` in pairs mode). A ``left_kind`` outside
+    ``_LEFT_KINDS`` raises ValueError here, before anything executes."""
+    _check_left_kind(left_kind, _LEFT_KINDS)
     return broadcast_map_batches(
         left,
-        cls,
-        fn_constructor_kwargs={"right_ref": ref, "right_cols": right_cols},
+        SFilter,
+        fn_constructor_kwargs={"right_ref": ray.put(right_table),
+                               "mode": "pairs", "left_kind": left_kind,
+                               "right_cols": right_cols},
         batch_size=batch_size,
         concurrency=concurrency,
         nrows=nrows,
@@ -1051,12 +1018,17 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
     """Large×large predicate sfilter — the scale path when the right
     side exceeds the broadcast envelope (SFilter decodes the whole right
     table and builds its STRtree in every actor; at 10^6+ geometries that
-    init dominates). Both sides stream as Datasets, co-partition by
-    covering cell (ONE shuffle), and each cell kernel evaluates one
-    predicate name of the full vocabulary with the broadcast plan's
-    left-kind table (polygon_predicate_pairs, or
-    lines_in_polygon_pairs_predicate for ``left_kind='line'``). Bad
-    names and modes raise ValueError here, before anything executes.
+    init dominates). Both sides stream as Datasets tagged with their
+    covering cells and are co-grouped by cell (``_co_group``, one sort);
+    each cell's kernel evaluates one predicate name of the full
+    vocabulary with the broadcast plan's left-kind table
+    (polygon_predicate_pairs, or lines_in_polygon_pairs_predicate for
+    ``left_kind='line'``) and returns the cell's distinct matched left
+    ids. A second co-group on a 512-way id key ``sg`` keeps the distinct
+    matched ids (semi) or, with the left id universe tagged alongside,
+    the ids never matched (anti). Every group is an Arrow table. Bad
+    names, modes and left kinds raise ValueError here, before anything
+    executes.
 
     Pair completeness: any pair satisfying any predicate has overlapping
     bboxes and therefore shares at least one covering cell; multi-cell
@@ -1065,12 +1037,9 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
     anti: unmatched); callers re-join attributes by id, keeping the
     exchange narrow (same contract as clean_overlay_cell). An empty
     result (e.g. anti over an all-matching fixture) comes back as a
-    schema-less empty Dataset — the known empty-map_groups quirk
-    (DEVNOTES)."""
+    schema-less empty Dataset — the 0-row-block quirk (DEVNOTES)."""
     _check_predicate(predicate, mode, ("semi", "anti"))
-    if left_kind not in ("polygon", "line"):
-        raise ValueError(f"sfilter_cell left_kind must be 'polygon' or "
-                         f"'line', got {left_kind!r}")
+    _check_left_kind(left_kind, ("polygon", "line"))
     lt = left_ds.map_batches(
         lambda b: _tag_generic(b, res, left_id, 0, left_kind),
         batch_format="pyarrow")
@@ -1079,20 +1048,18 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
         batch_format="pyarrow")
     decode, kernel = _LEFT_KINDS[left_kind]
 
-    def cell_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        lmask = g["side"].to_numpy() == 0
-        geoms = g["geometry_wkb"].to_numpy()
-        if lmask.all() or not lmask.any():
-            return pd.DataFrame({"gid": pd.Series([], dtype="int64")})
-        rg = wkb.decode_polygons(geoms[~lmask])
+    def cell_kernel(g: pa.Table) -> pa.Table:
+        is_left = g["side"].to_numpy() == 0
+        li, ri = np.flatnonzero(is_left), np.flatnonzero(~is_left)
+        if len(li) == 0 or len(ri) == 0:
+            return pa.table({"gid": pa.array([], pa.int64())})
+        rg = wkb.decode_polygons(g["geometry_wkb"].take(ri))
         tree = STRtree(kernels.polygon_bounds(rg))
         matched = _match_masks(decode, getattr(kernels, kernel),
-                               [geoms[lmask]], rg, tree, predicate)[0]
-        gid = g["gid"].to_numpy()[lmask].astype(np.int64)
-        return pd.DataFrame({"gid": np.unique(gid[matched])})
-
-    matched = (lt.union(rt).groupby("cell")
-               .map_groups(cell_kernel, batch_format="pandas"))
+                               [g["geometry_wkb"].take(li)], rg, tree,
+                               predicate)[0]
+        gid = g["gid"].to_numpy()[li]
+        return pa.table({"gid": pa.array(np.unique(gid[matched]), pa.int64())})
 
     def add_sg(flag: int):
         def fn(b: pa.Table) -> pa.Table:
@@ -1105,33 +1072,23 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
             })
         return fn
 
+    matched = _co_group(lt.union(rt), "cell", cell_kernel).map_batches(
+        add_sg(1), batch_format="pyarrow")
     if mode == "semi":
         # distinct matched ids (multi-cell duplicates collapse here)
-        def distinct_ids(g: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {left_id: np.unique(g["gid"].to_numpy().astype(np.int64))})
+        def distinct_ids(g: pa.Table) -> pa.Table:
+            return pa.table(
+                {left_id: pa.array(np.unique(g["gid"].to_numpy()), pa.int64())})
 
-        return (matched.map_batches(add_sg(1), batch_format="pyarrow")
-                .groupby("sg")
-                .map_groups(distinct_ids, batch_format="pandas"))
+        return _co_group(matched, "sg", distinct_ids)
 
-    # anti: distinct left ids never matched — tag-union of the left id
-    # universe (flag 0) with matched ids (flag 1), per-group max-flag test
+    # anti: the left id universe (flag 0) minus the matched ids (flag 1)
     universe = left_ds.select_columns([left_id]).map_batches(
         add_sg(0), batch_format="pyarrow")
-    tagged = matched.map_batches(add_sg(1), batch_format="pyarrow")
 
-    def unmatched_ids(g: pd.DataFrame) -> pd.DataFrame:
-        gid = g["gid"].to_numpy().astype(np.int64)
-        flag = g["flag"].to_numpy().astype(np.int64)
-        order = np.argsort(gid, kind="stable")
-        gid, flag = gid[order], flag[order]
-        starts = np.nonzero(np.concatenate([[True], gid[1:] != gid[:-1]]))[0]
-        ends = np.concatenate([starts[1:], [len(gid)]])
-        mx = np.maximum.reduceat(flag, starts)
-        keep = mx == 0
-        _ = ends
-        return pd.DataFrame({left_id: gid[starts][keep]})
+    def unmatched_ids(g: pa.Table) -> pa.Table:
+        gid, flag = g["gid"].to_numpy(), g["flag"].to_numpy()
+        return pa.table({left_id: pa.array(
+            np.setdiff1d(gid[flag == 0], gid[flag == 1]), pa.int64())})
 
-    return (universe.union(tagged).groupby("sg")
-            .map_groups(unmatched_ids, batch_format="pandas"))
+    return _co_group(universe.union(matched), "sg", unmatched_ids)

@@ -40,6 +40,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import synth
+from ..geo import wkb
 from ..ops import spatial
 from ..sources import images as img_src
 from ..state import manifest as mf
@@ -53,23 +54,21 @@ def region_table(sf_dir: str) -> pa.Table:
 class FusedFlagshipStage:
     """The whole per-image chain in one callable.
 
-    build images -> decode+validate -> footprint -> region join (broadcast
-    STRtree over the regions, built in the constructor) -> covering-tile
-    flat-map, all inside a single ``__call__``. ``flagship_task`` builds
-    one per block, so the chain runs in one map task per block and never
-    ships the image ``bytes`` between operators — the only wide step left
-    in the job is the partitioned-write groupby.
+    build images -> decode+validate -> footprint -> region join (an
+    ``SFilter`` in pairs mode, its STRtree over the regions built in the
+    constructor) -> covering-tile flat-map, all inside a single
+    ``__call__``. ``flagship_task`` builds one per block, so the chain
+    runs in one map task per block and never ships the image ``bytes``
+    between operators — the only wide step left in the job is the
+    partitioned-write groupby.
     """
 
     def __init__(self, regions_ref, copies: int = 1, prebuilt: bool = False):
-        from ..geo import wkb as wkb_mod
-        from ..ops.spatial import _BroadcastIndex
-
-        self.idx = _BroadcastIndex(regions_ref)
+        self.join = spatial.SFilter(regions_ref, mode="pairs", left_kind="polygon",
+                                    right_cols=["n_nationkey"])
         self.prebuilt = prebuilt  # input is already an image table (Lance)
         self.build = img_src.BuildImages(copies=copies)
         self.validate = img_src.DecodeValidate()
-        self._wkb = wkb_mod
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         t = batch if self.prebuilt else self.build(batch)
@@ -82,14 +81,8 @@ class FusedFlagshipStage:
             [slim[c].to_numpy(zero_copy_only=False).astype(np.float64)
              for c in ("minx", "miny", "maxx", "maxy")], axis=1,
         )
-        slim = slim.append_column("geometry_wkb", self._wkb.encode_boxes_arrow(boxes))
-        lpg = self._wkb.decode_polygons(slim["geometry_wkb"])
-        qi, pi = self.idx.match_polygons(lpg)
-        joined = slim.take(pa.array(qi, pa.int64()))
-        joined = joined.append_column(
-            "n_nationkey", self.idx.table["n_nationkey"].take(pa.array(pi, pa.int64()))
-        )
-        return _cover_with_region(joined)
+        slim = slim.append_column("geometry_wkb", wkb.encode_boxes_arrow(boxes))
+        return _cover_with_region(self.join(slim))
 
 
 def flagship_task(batch: pa.Table, regions_ref, copies: int, prebuilt: bool,

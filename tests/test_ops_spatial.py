@@ -931,8 +931,8 @@ def test_focal_hotspots_both_plans_match_brute_force(ray_session):
 
 def test_sfilter_cell_matches_broadcast_predicates(ray_session):
     """sfilter_cell (large×large co-partitioned predicate filter) must
-    return exactly the broadcast PolyPolyFilter's kept-id sets for every
-    predicate and both modes."""
+    return exactly the broadcast sfilter's (left_kind='polygon') kept-id
+    sets for every predicate and both modes."""
     import ray.data as rd
 
     import pyarrow.parquet as pq
@@ -972,7 +972,7 @@ def test_sfilter_cell_matches_broadcast_predicates(ray_session):
 
 def test_sfilter_cell_line_left_matches_broadcast(ray_session):
     """sfilter_cell(left_kind='line') must return the broadcast
-    LineFilter's kept ids for every line predicate."""
+    sfilter's (left_kind='line') kept ids for every line predicate."""
     import ray.data as rd
 
     import pyarrow.parquet as pq
@@ -1048,6 +1048,90 @@ def test_sfilter_cell_rejects_bad_predicates_at_plan_time(ray_session,
                              predicate=predicate, mode=mode)
 
 
+def test_sjoin_pairs_rejects_bad_left_kind_at_plan_time(ray_session):
+    """A left_kind outside _LEFT_KINDS raises ValueError when the plan is
+    built; it used to pick the polygon join and fail inside a worker."""
+    with pytest.raises(ValueError):
+        spatial.sjoin_pairs(_never_executed(), suppliers_table(),
+                            right_cols=["s_suppkey"], left_kind="lines")
+
+
+def _pairs_by_brute_force(left_tbl, right, left_kind, lkey, rkey):
+    """(left key, right key) 'intersects' pairs: the left kind's kernel
+    run on every (left, right) pair, no index."""
+    decode, kernel = spatial._LEFT_KINDS[left_kind]
+    cols = ["px", "py"] if left_kind == "point" else ["geometry_wkb"]
+    left, _ = decode([left_tbl[c] for c in cols])
+    pg = wkb.decode_polygons(right["geometry_wkb"])
+    nl, nr = left_tbl.num_rows, right.num_rows
+    qi, pi = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
+    keep = getattr(kernels, kernel)(*left, pg, qi, pi, "intersects")
+    lk = left_tbl[lkey].to_numpy()[qi[keep]]
+    rk = right[rkey].to_numpy()[pi[keep]]
+    return set(zip(lk.tolist(), rk.tolist()))
+
+
+def _check_pairs(left_tbl, right, left_kind, lkey, rkey):
+    """sjoin_pairs over two blocks: every brute-force pair once."""
+    import ray.data as rd
+
+    got = spatial.sjoin_pairs(
+        rd.from_arrow(left_tbl).repartition(2), right, right_cols=[rkey],
+        left_kind=left_kind).to_pandas()
+    pairs = list(zip(got[lkey].tolist(), got[rkey].tolist()))
+    want = _pairs_by_brute_force(left_tbl, right, left_kind, lkey, rkey)
+    assert len(want) > 0
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == want
+
+
+def test_sjoin_pairs_point_left_and_right_col_suffix(ray_session):
+    """Point lefts; a right column named like a left column comes back
+    as ``<name>_2``."""
+    import ray.data as rd
+
+    sup = suppliers_table()
+    cust = synth.add_customer_points(
+        pq.read_table(f"{SF}/customer.parquet", columns=["c_custkey"]))
+    _check_pairs(cust, sup, "point", "c_custkey", "s_suppkey")
+    clash = sup.append_column("px", sup["s_suppkey"])
+    got = spatial.sjoin_pairs(rd.from_arrow(cust), clash,
+                              right_cols=["s_suppkey", "px"]).to_pandas()
+    assert list(got.columns) == cust.column_names + ["s_suppkey", "px_2"]
+    assert (got["px_2"] == got["s_suppkey"]).all() and len(got) > 0
+
+
+def test_sjoin_pairs_polygon_left(ray_session):
+    """Polygon lefts: L-shaped parts vs order boxes, part boxes vs holed
+    order boxes."""
+    parts_t = pq.read_table(f"{SF}/part.parquet",
+                            columns=["p_partkey"]).slice(0, 25)
+    orders_t = pq.read_table(f"{SF}/orders.parquet", columns=["o_orderkey"])
+    _check_pairs(synth.add_part_lshapes(parts_t),
+                 synth.add_orders_boxes(orders_t), "polygon", "p_partkey",
+                 "o_orderkey")
+    _check_pairs(synth.add_part_boxes(parts_t),
+                 synth.add_orders_holed(orders_t), "polygon", "p_partkey",
+                 "o_orderkey")
+
+
+def _segments() -> pa.Table:
+    """300 horizontal 400 m segments at seeded random points."""
+    rng = np.random.default_rng(7)
+    xy = rng.integers(0, 36000, (300, 2)).astype(np.float64)
+    return pa.table({
+        "seg_id": pa.array(np.arange(300), pa.int64()),
+        "geometry_wkb": pa.array(
+            [wkb.encode_linestring(np.array([[x - 200.0, y], [x + 200.0, y]]))
+             for x, y in xy], pa.binary()),
+    })
+
+
+def test_sjoin_pairs_line_left(ray_session):
+    """Line lefts: segments vs supplier diamonds."""
+    _check_pairs(_segments(), suppliers_table(), "line", "seg_id", "s_suppkey")
+
+
 def _split_equals_single_calls(left_tbl, right, left_kind, key):
     """sfilter(mode='split', predicate=PREDICATES) must keep every left row
     and flag exactly the rows each single-name filter keeps; per name the
@@ -1094,22 +1178,12 @@ def test_sfilter_sequence_equals_single_calls_polygon_left(ray_session):
 
 def test_sfilter_sequence_equals_single_calls_point_and_line_left(
         ray_session):
-    from ssb_sgis_ray.geo import wkb as W
-
     sup = suppliers_table()
     cust = synth.add_customer_points(
         pq.read_table(f"{SF}/customer.parquet", columns=["c_custkey"]))
     split = _split_equals_single_calls(cust, sup, "point", "c_custkey")
     assert split["matched_within"].any()
-    rng = np.random.default_rng(7)
-    xy = rng.integers(0, 36000, (300, 2)).astype(np.float64)
-    segs = pa.table({
-        "seg_id": pa.array(np.arange(300), pa.int64()),
-        "geometry_wkb": pa.array(
-            [W.encode_linestring(np.array([[x - 200.0, y], [x + 200.0, y]]))
-             for x, y in xy], pa.binary()),
-    })
-    split = _split_equals_single_calls(segs, sup, "line", "seg_id")
+    split = _split_equals_single_calls(_segments(), sup, "line", "seg_id")
     assert split["matched_crosses"].any()
 
 
