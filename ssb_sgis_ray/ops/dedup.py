@@ -4,7 +4,7 @@ embedding-cosine near-dup.
 Ray Data plans (per the large-scale pattern):
   exact     : md5(content) in map_batches -> groupby(hash) keep min id.
   minhash   : shingle -> 64 minhashes per doc (vectorized) -> explode to
-              (band_id, band_hash, doc_id) rows -> groupby bands ->
+              (band_id, band_hash, doc_id) rows -> co-group on band_hash ->
               candidate pairs -> verify true Jaccard -> connected
               components -> keep min-id representative per cluster.
   simhash   : 64-bit sign-aggregated token-hash fingerprint; near-dup =
@@ -24,6 +24,7 @@ import pyarrow as pa
 
 from .text import md5_hash_column
 
+from ..exchange import co_group, per_key, runs
 from ..pool import default_pool
 
 MERSENNE = (1 << 61) - 1
@@ -67,7 +68,7 @@ def band_hashes(sig: np.ndarray) -> np.ndarray:
     """(N_BANDS,) int64 hash per band of the signature.
 
     The band INDEX is folded into the hash, so band_hash alone is the
-    LSH bucket key — a single int64 groupby key instead of the composite
+    LSH bucket key — a single int64 shuffle key instead of the composite
     (band_id, band_hash) (Ray's multi-key groupby is ~15x slower than
     single-key on this stack). Cross-band value collisions would only
     merge two buckets (extra candidates, filtered by the verify)."""
@@ -155,18 +156,10 @@ BUCKET_CAP = 4096  # band-bucket size beyond which all-pairs is refused
 # video-level rows (~24 B each) the driver will merge for the identical-
 # frame-set collapse before falling back to the distributed shuffle
 VIDEO_COLLAPSE_DRIVER_LIMIT = 5_000_000
-SUPER_GROUPS = 256  # shuffle groups for the LSH bucket stage
 # verify dual-plan bounds: below these the broadcast verify path runs
 # (driver holds 16 B/pair of ids + the candidate docs' texts once)
 SMALL_VERIFY_PAIRS = 5_000_000
 BROADCAST_DOCS_LIMIT = 200_000
-
-
-def _bucket_bounds(h: np.ndarray):
-    """SORTED bucket keys -> (starts, ends, sizes) of the equal-key runs."""
-    starts = np.nonzero(np.concatenate([[True], h[1:] != h[:-1]]))[0]
-    ends = np.concatenate([starts[1:], [len(h)]])
-    return starts, ends, ends - starts
 
 
 def _triangular_pair_indices(ends: np.ndarray, sizes: np.ndarray,
@@ -193,17 +186,14 @@ def _triangular_pair_indices(ends: np.ndarray, sizes: np.ndarray,
     return a_idx, a_idx + within + 1
 
 
-def _super_groups_to_pairs(g: pa.Table) -> pa.Table:
-    """One SUPER-group (band_hash % SUPER_GROUPS) -> candidate pairs.
+def _bucket_pairs(g: pa.Table) -> pa.Table:
+    """One band_hash-sorted block of band rows -> candidate pairs.
 
-    A super-group holds many complete LSH buckets (band_hash co-located
-    by construction). Buckets are recovered by a sort + boundary scan and
-    their triangular pairs are generated fully vectorized — the per-group
-    function-call overhead of one-call-per-bucket map_groups dominated
-    the stage (80k buckets × ~0.2 ms). Hot buckets (> BUCKET_CAP) emit
-    star pairs to the min id (same connected components, O(n) rows).
-    Arrow in/out: the kernel is pure numpy, so the pandas group frame
-    only added a per-group conversion.
+    A block holds many complete LSH buckets (co_group). Buckets are the
+    runs of a (band_hash, doc_id) sort and their triangular pairs are
+    generated fully vectorized — one call per bucket cost ~0.2 ms each
+    (80k buckets). Hot buckets (> BUCKET_CAP) emit star pairs to the min
+    id (same connected components, O(n) rows).
     """
     empty = pa.table({"id_a": pa.array([], pa.int64()),
                       "id_b": pa.array([], pa.int64())})
@@ -213,7 +203,8 @@ def _super_groups_to_pairs(g: pa.Table) -> pa.Table:
     d = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.lexsort((d, h))
     h, d = h[order], d[order]
-    starts, ends, sizes = _bucket_bounds(h)
+    starts, ends = runs(h)
+    sizes = ends - starts
     out_a: list[np.ndarray] = []
     out_b: list[np.ndarray] = []
     # star-cap giant buckets
@@ -245,59 +236,18 @@ def _super_groups_to_pairs(g: pa.Table) -> pa.Table:
                      "id_b": pa.array(np.maximum(a, b), pa.int64())})
 
 
-def _band_groups_to_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    """One (band_id, band_hash) bucket -> candidate pairs (a < b).
-
-    Hot-bucket cap: a bucket larger than BUCKET_CAP means a giant
-    near-identical cluster; all-pairs there is O(n²) for no information.
-    Those buckets emit a STAR to the min id instead (O(n) pairs, same
-    connected components for dedup purposes) and log the downgrade.
-    """
-    ids = np.sort(g["doc_id"].to_numpy())
-    if len(ids) < 2:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                             "id_b": pd.Series([], dtype="int64")})
-    if len(ids) > BUCKET_CAP:
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "minhash bucket of %d docs exceeds cap %d: emitting star pairs",
-            len(ids), BUCKET_CAP,
-        )
-        return pd.DataFrame({"id_a": np.full(len(ids) - 1, ids[0]),
-                             "id_b": ids[1:]})
-    ii, jj = np.triu_indices(len(ids), k=1)
-    return pd.DataFrame({"id_a": ids[ii], "id_b": ids[jj]})
-
-
 def minhash_candidate_pairs(docs_ds):
     """documents Dataset -> deduplicated candidate pair Dataset (id_a<id_b).
 
     Shuffle key = band_hash (band index folded in, so ONE int64 key);
-    hot buckets are star-capped in the group kernel
-    (_band_groups_to_pairs). The same pair can fire in several bands;
-    dedup is a DISTRIBUTED single-key groupby on the packed pair key —
-    no driver materialization at any size (VERDICT r1 scale-blocker #4).
-    Any int64 doc ids (the pair distinct shuffles both id columns on a
-    hashed super key; 31-bit packing is only the guarded in-kernel fast
-    path — _pair_dedup_local).
+    hot buckets are star-capped in the block kernel (_bucket_pairs). The
+    same pair can fire in several bands; distinct_pairs removes the
+    repeats without driver materialization at any size (VERDICT r1
+    scale-blocker #4), for any int64 doc ids.
     """
     bands = docs_ds.map_batches(MinHashStage, batch_format="pyarrow",
                                 concurrency=default_pool(), batch_size=4096)
-
-    def add_super(b: pa.Table) -> pa.Table:
-        h = b["band_hash"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column(
-            "super", pa.array(h % SUPER_GROUPS, pa.int64())
-        )
-
-    pairs = (
-        bands.map_batches(add_super, batch_format="pyarrow")
-        .groupby("super")
-        .map_groups(_super_groups_to_pairs, batch_format="pyarrow")
-    )
-
-    return distinct_pairs(pairs)
+    return distinct_pairs(co_group(bands, "band_hash", _bucket_pairs))
 
 
 def verify_pairs_jaccard(pairs_ds, docs_ds, threshold: float = 0.8, k: int = 5,
@@ -339,12 +289,11 @@ def verify_pairs_jaccard(pairs_ds, docs_ds, threshold: float = 0.8, k: int = 5,
     # Dual plan. SMALL regime (the common one): pull the pair ID COLUMNS
     # (16 bytes/pair) to the driver, broadcast the candidate docs' texts,
     # verify in one map over the pairs — no Dataset.join anywhere. This is
-    # both faster at bench sizes AND immune to the map_groups empty-block
-    # join crash (schema-less 0-row blocks on a join side — see DEVNOTES):
-    # pairs datasets produced by groupby().map_groups can carry such
-    # blocks, and whether a join partition ends up column-less depends on
-    # block-to-partition luck. LARGE regime: the semi-join + two text
-    # joins below — at that density every partition is non-empty.
+    # both faster at bench sizes AND immune to the empty-block join crash
+    # (schema-less 0-row blocks on a join side — see DEVNOTES): whether a
+    # join partition ends up column-less depends on block-to-partition
+    # luck. LARGE regime: the semi-join + two text joins below — at that
+    # density every partition is non-empty.
     if n_pairs <= SMALL_VERIFY_PAIRS:
         import ray
 
@@ -486,7 +435,7 @@ def embed_dedup_pairs_bucketed(
     """Embedding near-dup pairs via IVF bucketing (scale path).
 
     Each vector is assigned to its top-``multi_assign`` centroid lists;
-    all-pairs cosine runs only WITHIN a list (groupby(list_id) shuffle),
+    all-pairs cosine runs only WITHIN a list (co_group on list_id),
     so total work is O(N²/L·m²) instead of O(N²) — and no full-matrix
     broadcast exists anywhere in the plan (VERDICT r1 scale-blocker #4).
     A near-dup pair can only be missed if the two (nearly identical)
@@ -542,16 +491,10 @@ def embed_dedup_pairs_bucketed(
         return pa.table({"id_a": pa.array(a[keep], pa.int64()),
                          "id_b": pa.array(b[keep], pa.int64())})
 
-    pairs = (
-        emb_ds.map_batches(Assign, batch_format="pyarrow",
-                           concurrency=default_pool(), batch_size=4096)
-        .groupby("list_id")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
-
-    # distinct via the shared full-int64-range pair plan (hashed super
-    # key + in-kernel dedup; packed int64 only as the guarded fast path)
-    return distinct_pairs(pairs)
+    assigned = emb_ds.map_batches(Assign, batch_format="pyarrow",
+                                  concurrency=default_pool(), batch_size=4096)
+    return distinct_pairs(
+        co_group(assigned, "list_id", per_key("list_id", bucket_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -663,23 +606,6 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 PACK_LIMIT = np.int64(1) << 31  # ids below this ride the packed fast path
 
 
-def _pair_hash_groups(a: np.ndarray, b: np.ndarray,
-                      groups: int = SUPER_GROUPS) -> np.ndarray:
-    """Deterministic shuffle-group key for ordered (id_a, id_b) pairs.
-
-    A HASH of both ids (wrapping uint64 mixes), not an arithmetic
-    packing — valid over the FULL int64 id range, so the 10^12-id north
-    rule never overflows it. Duplicate pairs hash identically, so the
-    groupby(super) co-locates them for in-kernel dedup."""
-    with np.errstate(over="ignore"):
-        h = a.astype(np.int64).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        h ^= b.astype(np.int64).view(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-        h ^= h >> np.uint64(29)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(32)
-    return (h % np.uint64(groups)).astype(np.int64)
-
-
 def _pair_dedup_local(a: np.ndarray, b: np.ndarray):
     """Vectorized distinct over aligned (id_a, id_b) arrays, full int64
     id range. Fast path: when both ids fit 31 non-negative bits (the
@@ -719,30 +645,24 @@ def _pair_unique_counts(a: np.ndarray, b: np.ndarray):
     return a2[starts], b2[starts], counts, first
 
 
+def _first_of_runs(b: pa.Table) -> pa.Table:
+    """First row of each (id_a, id_b) run of a pair-sorted block."""
+    return b.take(runs(b["id_a"].to_numpy(), b["id_b"].to_numpy())[0])
+
+
 def distinct_pairs(pairs_ds):
-    """Distributed distinct over (id_a, id_b) pair rows: pre-dedup
-    in-kernel, shuffle BOTH id columns on a hashed super key
-    (_pair_hash_groups — full int64 range; the r4 31-bit arithmetic
-    packing survives only as the in-kernel fast path inside
-    _pair_dedup_local, behind its explicit range guard), and dedup per
-    group — a fine-grained groupby over ~240k distinct pair keys costs
-    ~26 s in per-group overhead; this runs in ~3 s on identical data."""
+    """Distributed distinct over (id_a, id_b) pair rows, any int64 ids:
+    pre-dedup in-kernel (_pair_dedup_local; its 31-bit packing is only a
+    fast path behind an explicit range guard), then either a driver merge
+    or one co-group on (id_a, id_b) that keeps the first row of each
+    run."""
 
     def pre(b: pa.Table) -> pa.Table:
         a = b["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
         bb = b["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
         a, bb = _pair_dedup_local(a, bb)
-        return pa.table(
-            {
-                "id_a": pa.array(a, pa.int64()),
-                "id_b": pa.array(bb, pa.int64()),
-                "super": pa.array(_pair_hash_groups(a, bb), pa.int64()),
-            }
-        )
-
-    def distinct_unpack(g: pd.DataFrame) -> pd.DataFrame:
-        a, bb = _pair_dedup_local(g["id_a"].to_numpy(), g["id_b"].to_numpy())
-        return pd.DataFrame({"id_a": a, "id_b": bb})
+        return pa.table({"id_a": pa.array(a, pa.int64()),
+                         "id_b": pa.array(bb, pa.int64())})
 
     import ray
     import ray.data as rd
@@ -750,16 +670,10 @@ def distinct_pairs(pairs_ds):
     packed = pairs_ds.map_batches(pre, batch_format="pyarrow").materialize()
     # in-kernel pre-dedup usually collapses the candidate set to a few
     # hundred rows at bench density — a driver merge replaces the
-    # whole groupby(super) exchange (~3.5 s of machinery). Limit-guarded:
-    # big candidate sets keep the distributed distinct.
+    # whole exchange (~3.5 s of machinery). Limit-guarded: big candidate
+    # sets keep the distributed distinct.
     if packed.count() <= SMALL_VERIFY_PAIRS:
-        # schema-less empty PANDAS blocks can ride along when the input
-        # pairs came out of a map_groups (the DEVNOTES empty-block quirk)
-        blocks = [
-            t if isinstance(t, pa.Table)
-            else pa.Table.from_pandas(t, preserve_index=False)
-            for t in ray.get(packed.to_arrow_refs()) if len(t)
-        ]
+        blocks = [t for t in ray.get(packed.to_arrow_refs()) if t.num_rows]
         if blocks:
             a = np.concatenate(
                 [t["id_a"].to_numpy(zero_copy_only=False) for t in blocks]
@@ -774,11 +688,7 @@ def distinct_pairs(pairs_ds):
             {"id_a": pa.array(a, pa.int64()),
              "id_b": pa.array(bb, pa.int64())}
         ))
-    return (
-        packed
-        .groupby("super")
-        .map_groups(distinct_unpack, batch_format="pandas")
-    )
+    return co_group(packed, ["id_a", "id_b"], _first_of_runs)
 
 
 def phash_near_dup_pairs(imgs_ds, id_col: str = "doc_id",
@@ -810,21 +720,17 @@ def phash_near_dup_pairs(imgs_ds, id_col: str = "doc_id",
                 "band_hash": pa.array(keys, pa.int64()),
                 "doc_id": pa.array(np.tile(ids, 4), pa.int64()),
                 "ph": pa.array(np.tile(ph, 4), pa.int64()),
-                "super": pa.array(keys % SUPER_GROUPS, pa.int64()),
             }
         )
 
-    def super_to_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                              "id_b": pd.Series([], dtype="int64")})
-        if len(g) < 2:
-            return empty
+    def band_pairs(g: pa.Table) -> pa.Table:
         h = g["band_hash"].to_numpy()
-        d = g["doc_id"].to_numpy().astype(np.int64)
-        ph = g["ph"].to_numpy().astype(np.int64)
+        d = g["doc_id"].to_numpy()
+        ph = g["ph"].to_numpy()
         order = np.lexsort((d, h))
         h, d, ph = h[order], d[order], ph[order]
-        _, ends, sizes = _bucket_bounds(h)
+        starts, ends = runs(h)
+        sizes = ends - starts
         keep_bucket = (sizes >= 2) & (sizes <= BUCKET_CAP)
         for k in np.nonzero(sizes > BUCKET_CAP)[0]:
             import logging
@@ -836,18 +742,15 @@ def phash_near_dup_pairs(imgs_ds, id_col: str = "doc_id",
                 int(sizes[k]), BUCKET_CAP,
             )
         a_idx, b_idx = _triangular_pair_indices(ends, sizes, keep_bucket)
-        if not len(a_idx):
-            return empty
         ok = (hamming64(ph[a_idx], ph[b_idx]) <= max_hamming) & (
             d[a_idx] != d[b_idx]
         )
         a, b = d[a_idx][ok], d[b_idx][ok]
-        return pd.DataFrame({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b)})
+        return pa.table({"id_a": pa.array(np.minimum(a, b), pa.int64()),
+                         "id_b": pa.array(np.maximum(a, b), pa.int64())})
 
     bands = imgs_ds.map_batches(explode_bands, batch_format="pyarrow")
-    pairs = bands.groupby("super").map_groups(super_to_pairs,
-                                              batch_format="pandas")
-    return distinct_pairs(pairs)
+    return distinct_pairs(co_group(bands, "band_hash", band_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -940,8 +843,8 @@ class VideoFrameHashStage:
         )
 
 
-def _video_set_collapse(g: pd.DataFrame) -> pd.DataFrame:
-    """One super-group of (doc_id, fh, nfu, sig) frame rows -> tagged
+def _video_set_collapse(g: pa.Table) -> pa.Table:
+    """One sig-sorted block of (doc_id, fh, nfu, sig) frame rows -> tagged
     union of cluster MEMBERSHIP rows (kind=0: doc_id, rep, nfu; fh=-1)
     and REPRESENTATIVE frame rows (kind=1: rep's own frame rows).
 
@@ -961,23 +864,19 @@ def _video_set_collapse(g: pd.DataFrame) -> pd.DataFrame:
     new_vid = new_sig | np.concatenate([[True], d[1:] != d[:-1]])
     is_rep = d == rep
     n_m, n_r = int(new_vid.sum()), int(is_rep.sum())
-    return pd.DataFrame(
-        {
-            "kind": np.concatenate(
-                [np.zeros(n_m, np.int8), np.ones(n_r, np.int8)]
-            ),
-            "doc_id": np.concatenate([d[new_vid], d[is_rep]]),
-            "rep": np.concatenate([rep[new_vid], rep[is_rep]]),
-            "fh": np.concatenate(
-                [np.full(n_m, -1, np.int64), fh[is_rep]]
-            ),
-            "nfu": np.concatenate([nfu[new_vid], nfu[is_rep]]),
-        }
-    )
+    return pa.table({
+        "kind": pa.array(np.concatenate(
+            [np.zeros(n_m, np.int8), np.ones(n_r, np.int8)]), pa.int8()),
+        "doc_id": pa.array(np.concatenate([d[new_vid], d[is_rep]]), pa.int64()),
+        "rep": pa.array(np.concatenate([rep[new_vid], rep[is_rep]]), pa.int64()),
+        "fh": pa.array(np.concatenate(
+            [np.full(n_m, -1, np.int64), fh[is_rep]]), pa.int64()),
+        "nfu": pa.array(np.concatenate([nfu[new_vid], nfu[is_rep]]), pa.int64()),
+    })
 
 
-def _intra_cluster_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    """Membership rows grouped by super(rep) -> all within-cluster pairs
+def _intra_cluster_pairs(g: pa.Table) -> pa.Table:
+    """A rep-sorted block of membership rows -> all within-cluster pairs
     (identical frame sets: Jaccard = nfu/nfu = 1, always past any
     threshold <= 1). Output size == true answer size — no intermediate
     blowup beyond it."""
@@ -986,23 +885,19 @@ def _intra_cluster_pairs(g: pd.DataFrame) -> pd.DataFrame:
     nfu = g["nfu"].to_numpy().astype(np.int64)
     order = np.lexsort((d, rep))
     rep, d, nfu = rep[order], d[order], nfu[order]
-    _, ends, sizes = _bucket_bounds(rep)
+    starts, ends = runs(rep)
+    sizes = ends - starts
     a_idx, b_idx = _triangular_pair_indices(
         ends, sizes, np.ones(len(sizes), dtype=bool)
     )
     a, b = d[a_idx], d[b_idx]
-    n = nfu[a_idx]
-    return pd.DataFrame(
-        {
-            "id_a": np.minimum(a, b),
-            "id_b": np.maximum(a, b),
-            "jac_num": n,
-            "jac_den": n,
-        }
-    )
+    n = pa.array(nfu[a_idx], pa.int64())
+    return pa.table({"id_a": pa.array(np.minimum(a, b), pa.int64()),
+                     "id_b": pa.array(np.maximum(a, b), pa.int64()),
+                     "jac_num": n, "jac_den": n})
 
 
-def _expand_pair_side(g: pd.DataFrame) -> pd.DataFrame:
+def _expand_pair_side(g: pa.Table) -> pa.Table:
     """Tag-union join kernel: replace each pair row's ``key`` (a cluster
     representative) with EVERY member of that cluster.
 
@@ -1011,8 +906,8 @@ def _expand_pair_side(g: pd.DataFrame) -> pd.DataFrame:
     cluster share the rep's frame set, so jac_num/jac_den carry over
     unchanged. Fully vectorized repeat-arithmetic cross product; output
     is answer-bounded."""
-    empty = pd.DataFrame({c: pd.Series([], dtype="int64")
-                          for c in ("a", "b", "jac_num", "jac_den")})
+    empty = pa.table({c: pa.array([], pa.int64())
+                      for c in ("a", "b", "jac_num", "jac_den")})
     k = g["kind"].to_numpy()
     key = g["key"].to_numpy().astype(np.int64)
     other = g["other"].to_numpy().astype(np.int64)
@@ -1039,22 +934,20 @@ def _expand_pair_side(g: pd.DataFrame) -> pd.DataFrame:
     base = np.concatenate([[0], np.cumsum(cnt)])[:-1]
     within = np.arange(T) - np.repeat(base, cnt)
     mem_idx = np.repeat(starts[idx], cnt) + within
-    return pd.DataFrame(
-        {
-            "a": mo[mem_idx],
-            "b": np.repeat(po, cnt),
-            "jac_num": np.repeat(pjn, cnt),
-            "jac_den": np.repeat(pjd, cnt),
-        }
-    )
+    return pa.table({
+        "a": pa.array(mo[mem_idx], pa.int64()),
+        "b": pa.array(np.repeat(po, cnt), pa.int64()),
+        "jac_num": pa.array(np.repeat(pjn, cnt), pa.int64()),
+        "jac_den": pa.array(np.repeat(pjd, cnt), pa.int64()),
+    })
 
 
-def _frame_super_to_pair_instances(g: pa.Table) -> pa.Table:
-    """One super-group of frame rows -> PAIR INSTANCES (one row per
-    shared frame): (pk, na, nb).
+def _frame_pair_instances(g: pa.Table) -> pa.Table:
+    """An fh-sorted block of frame rows -> PAIR INSTANCES (one row per
+    shared frame): (id_a, id_b, na, nb).
 
-    Same sort + boundary-scan + repeat-arithmetic triangular expansion as
-    _super_groups_to_pairs, but WITHOUT a hot-bucket star cap: the pair
+    Same sort + run-scan + repeat-arithmetic triangular expansion as
+    _bucket_pairs, but WITHOUT a hot-bucket star cap: the pair
     count downstream IS the Jaccard numerator, so every co-occurrence
     must be emitted. A frame shared by b videos emits C(b,2) rows —
     bounded here by the frame-content key space; log if a bucket is
@@ -1070,7 +963,8 @@ def _frame_super_to_pair_instances(g: pa.Table) -> pa.Table:
     n = g["nfu"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.lexsort((d, h))
     h, d, n = h[order], d[order], n[order]
-    _, ends, sizes = _bucket_bounds(h)
+    starts, ends = runs(h)
+    sizes = ends - starts
     big = sizes[sizes > BUCKET_CAP]
     if len(big):
         import logging
@@ -1100,8 +994,8 @@ def _frame_super_to_pair_instances(g: pa.Table) -> pa.Table:
 
 
 def _pair_instances_to_jaccard(t_num: int, t_den: int):
-    """Per super-group: count instances per (id_a, id_b) (= |A∩B|), filter
-    on the EXACT integer Jaccard predicate t_den*c >= t_num*(na+nb-c).
+    """Per pair-sorted block: count instances per (id_a, id_b) (= |A∩B|),
+    filter on the EXACT integer Jaccard predicate t_den*c >= t_num*(na+nb-c).
     Full int64 id range (_pair_unique_counts — no arithmetic packing)."""
 
     def fn(g: pa.Table) -> pa.Table:
@@ -1149,9 +1043,9 @@ def _collapsed_video_clusters(videos_ds, concurrency=None,
     # a per-block first-row-per-doc scan yields ~one row per video (a block
     # split can duplicate a boundary video; the driver dedups). At 50k
     # videos that's a 1 MB driver merge replacing a full frame-row
-    # groupby(super) shuffle (~3.5 s of exchange machinery at sf0.1).
+    # exchange (~3.5 s of exchange machinery at sf0.1).
     # Guard: corpora beyond VIDEO_COLLAPSE_DRIVER_LIMIT videos take the
-    # distributed collapse shuffle below instead.
+    # distributed collapse (a co-group on sig) below instead.
     def vid_rows(b: pa.Table) -> pa.Table:
         d = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         first = np.concatenate([[True], d[1:] != d[:-1]]) if len(d) else \
@@ -1209,16 +1103,7 @@ def _collapsed_video_clusters(videos_ds, concurrency=None,
         rep_frames = hashed.map_batches(pick_rep_frames, batch_format="pyarrow")
         return rd.from_arrow(members_tbl), rep_frames
     # -- distributed collapse (corpus too large for the driver merge) -------
-
-    def add_sig_super(b: pa.Table) -> pa.Table:
-        s = b["sig"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column("super", pa.array(s % SUPER_GROUPS, pa.int64()))
-
-    u = (
-        hashed.map_batches(add_sig_super, batch_format="pyarrow")
-        .groupby("super")
-        .map_groups(_video_set_collapse, batch_format="pandas")
-    ).materialize()
+    u = co_group(hashed, "sig", _video_set_collapse).materialize()
 
     def pick(kind: int, drop: list):
         def f(b: pa.Table) -> pa.Table:
@@ -1250,15 +1135,15 @@ def video_frame_jaccard_pairs(videos_ds, t_num: int = 8, t_den: int = 10,
     Plan (all-distributed, no driver materialization):
       1. decode + per-frame hash + per-video frame-SET signature
          (actor pool; denominator sizes ride along on every frame row)
-      2. shuffle on sig % SUPER_GROUPS: collapse identical frame sets to
+      2. co-group on sig: collapse identical frame sets to
          one representative per cluster (min doc_id) — a hot frame bucket
          made of exact-set duplicates now contributes ONE video to the
          quadratic stage instead of n (the degenerate constant-frame
          corpus used to emit C(n,2) instance rows here)
-      3. shuffle REP frame rows on fh % SUPER_GROUPS, vectorized
-         triangular pair instances per frame bucket (one per SHARED frame)
-      4. shuffle on hashed pair super key, count per (id_a, id_b) pair
-         = |A∩B|, exact integer threshold filter -> rep-level pairs
+      3. co-group REP frame rows on fh, vectorized triangular pair
+         instances per frame bucket (one per SHARED frame)
+      4. co-group on (id_a, id_b), count per pair = |A∩B|, exact
+         integer threshold filter -> rep-level pairs
       5. expand rep pairs back to member pairs (two tag-union
          co-partitioned joins) and add within-cluster pairs (Jaccard 1);
          both are answer-bounded. ``expand_identical=False`` skips step 5
@@ -1271,34 +1156,13 @@ def video_frame_jaccard_pairs(videos_ds, t_num: int = 8, t_den: int = 10,
     identical-set cause.
 
     Output: (id_a, id_b, jac_num=|A∩B|, jac_den=|A∪B|) — integers, so
-    the oracle comparison has no float rounding ties. Any int64 doc ids
-    (hashed pair super key; packing only as the guarded kernel fast
-    path)."""
+    the oracle comparison has no float rounding ties. Any int64 doc
+    ids."""
     members, rep_frames = _collapsed_video_clusters(videos_ds, concurrency,
                                                     batch_size)
-
-    def add_super(b: pa.Table) -> pa.Table:
-        h = b["fh"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column("super", pa.array(h % SUPER_GROUPS, pa.int64()))
-
-    inst = (
-        rep_frames.map_batches(add_super, batch_format="pyarrow")
-        .groupby("super")
-        .map_groups(_frame_super_to_pair_instances, batch_format="pyarrow")
-    )
-
-    def add_super2(b: pa.Table) -> pa.Table:
-        a = b["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bb = b["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column(
-            "super", pa.array(_pair_hash_groups(a, bb), pa.int64()))
-
-    rep_pairs = (
-        inst.map_batches(add_super2, batch_format="pyarrow")
-        .groupby("super")
-        .map_groups(_pair_instances_to_jaccard(t_num, t_den),
-                    batch_format="pyarrow")
-    )
+    inst = co_group(rep_frames, "fh", _frame_pair_instances)
+    rep_pairs = co_group(inst, ["id_a", "id_b"],
+                         _pair_instances_to_jaccard(t_num, t_den))
     if not expand_identical:
         return rep_pairs
 
@@ -1308,7 +1172,7 @@ def video_frame_jaccard_pairs(videos_ds, t_num: int = 8, t_den: int = 10,
     # -- broadcast expansion fast path ------------------------------------
     # The non-trivial membership (doc_id != rep) is usually a tiny slice of
     # the corpus; the tag-union join path below costs THREE extra
-    # groupby(super) shuffles (two expand sides + intra) — ~14 s of pure
+    # exchanges (two expand sides + intra) — ~14 s of pure
     # exchange machinery at sf0.1 to expand 3.2k member rows. When the
     # slice fits the broadcast envelope, expand rep pairs in ONE
     # map_batches against a ray.put cluster index and build the
@@ -1393,17 +1257,7 @@ def video_frame_jaccard_pairs(videos_ds, t_num: int = 8, t_den: int = 10,
                 "jac_den": pa.array(en, pa.int64()),
             })
             return cross_bc.union(rd.from_arrow(intra_tbl))
-
-        def add_rep_super_bc(b: pa.Table) -> pa.Table:
-            r = b["rep"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return b.append_column("super", pa.array(r % SUPER_GROUPS, pa.int64()))
-
-        intra_ds = (
-            members.map_batches(add_rep_super_bc, batch_format="pyarrow")
-            .groupby("super")
-            .map_groups(_intra_cluster_pairs, batch_format="pandas")
-        )
-        return cross_bc.union(intra_ds)
+        return cross_bc.union(co_group(members, "rep", _intra_cluster_pairs))
     # ---------------------------------------------------------------------
 
     def tag_members(b: pa.Table) -> pa.Table:
@@ -1433,19 +1287,11 @@ def video_frame_jaccard_pairs(videos_ds, t_num: int = 8, t_den: int = 10,
 
         return f
 
-    def add_key_super(b: pa.Table) -> pa.Table:
-        k = b["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column("super", pa.array(k % SUPER_GROUPS, pa.int64()))
-
     def expand(pairs_ds, side: str, other: str):
         un = pairs_ds.map_batches(tag_pairs(side, other),
                                   batch_format="pyarrow").union(
             members.map_batches(tag_members, batch_format="pyarrow"))
-        return (
-            un.map_batches(add_key_super, batch_format="pyarrow")
-            .groupby("super")
-            .map_groups(_expand_pair_side, batch_format="pandas")
-        )
+        return co_group(un, "key", _expand_pair_side)
 
     # expand id_a then id_b ("a" holds the freshly expanded member)
     ex_a = expand(rep_pairs, "id_a", "id_b")
@@ -1466,17 +1312,7 @@ def video_frame_jaccard_pairs(videos_ds, t_num: int = 8, t_den: int = 10,
         )
 
     cross = ex_ab.map_batches(orient, batch_format="pyarrow")
-
-    def add_rep_super(b: pa.Table) -> pa.Table:
-        r = b["rep"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column("super", pa.array(r % SUPER_GROUPS, pa.int64()))
-
-    intra = (
-        members.map_batches(add_rep_super, batch_format="pyarrow")
-        .groupby("super")
-        .map_groups(_intra_cluster_pairs, batch_format="pandas")
-    )
-    return cross.union(intra)
+    return cross.union(co_group(members, "rep", _intra_cluster_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -1712,32 +1548,22 @@ def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5, k: int = 5,
         rows = lookup_join(rows, df_tbl, "sh", small_key="sh",
                            value_col="df", out_col="df")
 
-        def prefix_group(g: pd.DataFrame) -> pd.DataFrame:
-            d = g["doc_id"].to_numpy().astype(np.int64)
-            s = g["sh"].to_numpy().astype(np.int64)
-            dfv = g["df"].to_numpy().astype(np.int64)
-            ns = g["ns"].to_numpy().astype(np.int64)
-            dk, sk = prefix_from_sorted(d, s, dfv, ns)
-            return pd.DataFrame({"doc_id": dk, "sh": sk})
+        def prefix_block(g: pa.Table) -> pa.Table:
+            dk, sk = prefix_from_sorted(
+                *(g[c].to_numpy().astype(np.int64)
+                  for c in ("doc_id", "sh", "df", "ns")))
+            return pa.table({"doc_id": pa.array(dk, pa.int64()),
+                             "sh": pa.array(sk, pa.int64())})
 
-        prefix = rows.groupby("doc_id").map_groups(
-            prefix_group, batch_format="pandas"
-        )
+        prefix = co_group(rows, "doc_id", prefix_block)
 
-    def add_super(b: pa.Table) -> pa.Table:
-        s = b["sh"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column("super", pa.array(s % SUPER_GROUPS, pa.int64()))
-
-    def super_to_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                              "id_b": pd.Series([], dtype="int64")})
-        if len(g) < 2:
-            return empty
-        s = g["sh"].to_numpy().astype(np.int64)
-        d = g["doc_id"].to_numpy().astype(np.int64)
+    def prefix_pairs(g: pa.Table) -> pa.Table:
+        s = g["sh"].to_numpy()
+        d = g["doc_id"].to_numpy()
         order = np.lexsort((d, s))
         s, d = s[order], d[order]
-        _, ends, sizes = _bucket_bounds(s)
+        starts, ends = runs(s)
+        sizes = ends - starts
         for kk in np.nonzero(sizes > BUCKET_CAP)[0]:
             import logging
 
@@ -1750,17 +1576,11 @@ def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5, k: int = 5,
         a_idx, b_idx = _triangular_pair_indices(
             ends, sizes, sizes >= 2
         )
-        if not len(a_idx):
-            return empty
         a, b = d[a_idx], d[b_idx]
-        return pd.DataFrame({"id_a": np.minimum(a, b),
-                             "id_b": np.maximum(a, b)})
+        return pa.table({"id_a": pa.array(np.minimum(a, b), pa.int64()),
+                         "id_b": pa.array(np.maximum(a, b), pa.int64())})
 
-    cands = distinct_pairs(
-        prefix.map_batches(add_super, batch_format="pyarrow")
-        .groupby("super")
-        .map_groups(super_to_pairs, batch_format="pandas")
-    )
+    cands = distinct_pairs(co_group(prefix, "sh", prefix_pairs))
     return verify_pairs_jaccard(cands, docs_ds, threshold=threshold, k=k)
 
 
@@ -1783,7 +1603,7 @@ def keep_best_per_cluster(labels_ds, quality_ds, id_col: str = "doc_id",
     down to clustered ids (one vectorized membership pass over the corpus,
     no join) and the per-cluster argmax is one driver lexsort over the
     bounded slice. Beyond the envelope: semi-join + one co-partitioned
-    hash join + groupby(label) argmax, all distributed.
+    hash join + per-label argmax (a co-group on label), all distributed.
     """
     import ray
     import ray.data as rd
@@ -1875,7 +1695,7 @@ def keep_best_per_cluster(labels_ds, quality_ds, id_col: str = "doc_id",
                                 pa.int64()),
         })
 
-    return j.groupby("label").map_groups(pick, batch_format="pyarrow")
+    return co_group(j, "label", pick)
 
 
 def decontaminate(docs_ds, eval_ds, k: int = 5, id_col: str = "doc_id",

@@ -16,11 +16,10 @@ SURVEY §2.3 distributed-id note): node_key = snap_x * 100000 + snap_y.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
+from ..exchange import co_group, per_key, runs
 from ..geo import wkb
-
 from ..pool import default_pool
 
 
@@ -293,7 +292,6 @@ class _CloseHolesActor:
 
 
 NODE_BROADCAST_LIMIT = 5_000_000  # node rows the driver may materialize
-_CELL_GROUPS = 4096  # hashed-cell shuffle groups for the fallback plan
 
 
 def _close_holes_distributed(nodes, max_distance: float, max_angle: float,
@@ -302,12 +300,13 @@ def _close_holes_distributed(nodes, max_distance: float, max_angle: float,
     NODE_BROADCAST_LIMIT (the connected_components envelope discipline,
     r4 verdict #3): candidate nodes key to their max_distance-sized grid
     cell, deadends replicate to the 3x3 cell neighborhood, ONE
-    cell-keyed shuffle co-partitions both sides, the per-cell kernel
-    finds each deadend copy's nearest eligible candidate, and a coarse
-    groupby picks each deadend's global minimum with the broadcast
-    kernel's exact (distance, node_key) lexicographic tiebreak. Cell
-    keys are HASHED (full int64 coords); hash collisions merge cells —
-    extra distance-verified candidates, never wrong answers."""
+    cell-keyed co-group puts both sides of a cell in one block, the
+    per-cell kernel finds each deadend copy's nearest eligible candidate,
+    and a co-group on the deadend's node key picks its global minimum
+    with the broadcast kernel's exact (distance, node_key) lexicographic
+    tiebreak. Cell keys are a 64-bit HASH of the int64 cell coords; a
+    hash collision merges two cells — extra distance-verified
+    candidates, never wrong answers."""
     inv = 1.0 / max_distance
 
     def cell_hash(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -317,7 +316,7 @@ def _close_holes_distributed(nodes, max_distance: float, max_angle: float,
             h ^= (cy.astype(np.int64).view(np.uint64)
                   * np.uint64(0xC2B2AE3D27D4EB4F))
             h ^= h >> np.uint64(31)
-        return (h % np.uint64(_CELL_GROUPS)).astype(np.int64)
+        return h.view(np.int64)
 
     def tag_cand(b: pa.Table) -> pa.Table:
         deg = b["degree"].to_numpy(zero_copy_only=False)
@@ -371,14 +370,15 @@ def _close_holes_distributed(nodes, max_distance: float, max_angle: float,
     both = nodes.map_batches(tag_cand, batch_format="pyarrow").union(
         nodes.map_batches(tag_dead, batch_format="pyarrow"))
 
-    empty = pd.DataFrame({
-        "line_id": pd.Series([], dtype="int64"),
-        "from_node": pd.Series([], dtype="int64"),
-        "to_node": pd.Series([], dtype="int64"),
-        "hole_dist": pd.Series([], dtype="float64"),
-    })
+    def holes(line_id, from_node, to_node, hole_dist) -> pa.Table:
+        return pa.table({"line_id": pa.array(line_id, pa.int64()),
+                         "from_node": pa.array(from_node, pa.int64()),
+                         "to_node": pa.array(to_node, pa.int64()),
+                         "hole_dist": pa.array(hole_dist, pa.float64())})
 
-    def cell_kernel(g: pd.DataFrame) -> pd.DataFrame:
+    empty = holes([], [], [], [])
+
+    def cell_kernel(g: pa.Table) -> pa.Table:
         side = g["side"].to_numpy()
         dmask = side == 0
         cmask = ~dmask
@@ -414,38 +414,19 @@ def _close_holes_distributed(nodes, max_distance: float, max_angle: float,
         first = np.nonzero(np.concatenate(
             [[True], ri[order][1:] != ri[order][:-1]]))[0]
         sel = order[first]
-        return pd.DataFrame({
-            "line_id": dl[ri[sel]],
-            "from_node": dk[ri[sel]],
-            "to_node": ck[ci[sel]],
-            "hole_dist": d[sel],
-        })
+        return holes(dl[ri[sel]], dk[ri[sel]], ck[ci[sel]], d[sel])
 
-    per_cell = both.groupby("cell").map_groups(
-        cell_kernel, batch_format="pandas")
+    per_cell = co_group(both, "cell", per_key("cell", cell_kernel))
 
-    def add_sg(b: pa.Table) -> pa.Table:
-        nk = b["from_node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column(
-            "sg", pa.array((nk % 512 + 512) % 512, pa.int64()))
-
-    def pick_global(g: pd.DataFrame) -> pd.DataFrame:
-        fn = g["from_node"].to_numpy().astype(np.int64)
+    def pick_global(g: pa.Table) -> pa.Table:
+        fn = g["from_node"].to_numpy()
         d = g["hole_dist"].to_numpy()
-        tn = g["to_node"].to_numpy().astype(np.int64)
-        order = np.lexsort((tn, d, fn))
-        first = np.nonzero(np.concatenate(
-            [[True], fn[order][1:] != fn[order][:-1]]))[0]
-        sel = order[first]
-        return pd.DataFrame({
-            "line_id": g["line_id"].to_numpy().astype(np.int64)[sel],
-            "from_node": fn[sel],
-            "to_node": tn[sel],
-            "hole_dist": d[sel],
-        })
+        tn = g["to_node"].to_numpy()
+        sel = np.lexsort((tn, d, fn))
+        sel = sel[runs(fn[sel])[0]]
+        return holes(g["line_id"].to_numpy()[sel], fn[sel], tn[sel], d[sel])
 
-    return (per_cell.map_batches(add_sg, batch_format="pyarrow")
-            .groupby("sg").map_groups(pick_global, batch_format="pandas"))
+    return co_group(per_cell, "from_node", pick_global)
 
 
 def close_network_holes(lines_ds, id_col: str, tolerance: float,
@@ -458,42 +439,23 @@ def close_network_holes(lines_ds, id_col: str, tolerance: float,
     edges (line_id, from_node, to_node, hole_dist) — the reference
     appends these as hole=1 rows.
 
-    Distributed plan: endpoint rows → groupby(node_key) finds degree-1
-    nodes AND the representative node coordinates in one shuffle; the
-    node coordinate table is broadcast (graph-fits-one-heap envelope,
+    Distributed plan: endpoint rows → one co-group on node_key finds
+    degree-1 nodes AND the representative node coordinates (the node's
+    first endpoint row) in one exchange, one kernel call per sorted block;
+    the node coordinate table is broadcast (graph-fits-one-heap envelope,
     same as ops/routing.py); deadends stream through an STRtree actor
     pool."""
-    def add_super(b: pa.Table) -> pa.Table:
-        nk = b["node_key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column("super", pa.array(nk % 512, pa.int64()))
-
     ends = lines_ds.map_batches(
-        lambda b: _endpoint_rows(b, id_col, tolerance), batch_format="pyarrow"
-    ).map_batches(add_super, batch_format="pyarrow")
+        lambda b: _endpoint_rows(b, id_col, tolerance), batch_format="pyarrow")
 
-    def node_group(g: pd.DataFrame) -> pd.DataFrame:
-        # coarse super-group; fine node keys recovered in-kernel (a
-        # per-node-key map_groups pays ~0.3 ms per group — see DEVNOTES)
-        nk = g["node_key"].to_numpy().astype(np.int64)
-        order = np.argsort(nk, kind="stable")
-        nk = nk[order]
-        starts = np.nonzero(np.concatenate([[True], nk[1:] != nk[:-1]]))[0]
-        ends_ = np.concatenate([starts[1:], [len(nk)]])
-        first = order[starts]
-        return pd.DataFrame(
-            {
-                "node_key": nk[starts],
-                "x": g["x"].to_numpy()[first],
-                "y": g["y"].to_numpy()[first],
-                "degree": (ends_ - starts).astype(np.int64),
-                "line_id": g[id_col].to_numpy()[first].astype(np.int64),
-                "dx": g["dx"].to_numpy()[first],
-                "dy": g["dy"].to_numpy()[first],
-            }
-        )
+    def node_rows(g: pa.Table) -> pa.Table:
+        starts, stops = runs(g["node_key"].to_numpy())
+        first = g.select(["node_key", "x", "y", id_col, "dx", "dy"]).take(starts)
+        return first.rename_columns(
+            ["node_key", "x", "y", "line_id", "dx", "dy"]).append_column(
+            "degree", pa.array(stops - starts, pa.int64()))
 
-    nodes = ends.groupby("super").map_groups(
-        node_group, batch_format="pandas").materialize()
+    nodes = co_group(ends, "node_key", node_rows).materialize()
     if nodes.count() > NODE_BROADCAST_LIMIT:
         # the one driver merge in this module that had no guard (r4
         # verdict #3): beyond the envelope, run the cell-co-partitioned
@@ -535,67 +497,51 @@ def close_network_holes(lines_ds, id_col: str, tolerance: float,
 # ---------------------------------------------------------------------------
 
 
-def _seg_endpoint_rows(batch: pa.Table, num_groups: int) -> pa.Table:
+def _seg_endpoint_rows(batch: pa.Table) -> pa.Table:
     """Per segment of an already-node-keyed seg table: two
-    (sg, node_key, seg_id) rows, sg a coarse shuffle key so the degree
-    kernel regroups exact nodes in-kernel (single-int coarse shuffle beats
-    a fine-grained per-node groupby)."""
-    ids = batch["seg_id"].to_numpy(zero_copy_only=False)
-    node = np.concatenate(
-        [batch["node_a"].to_numpy(zero_copy_only=False),
-         batch["node_b"].to_numpy(zero_copy_only=False)]
-    )
-    seg = np.concatenate([ids, ids])
-    return pa.table(
-        {
-            "sg": pa.array((node % num_groups + num_groups) % num_groups, pa.int64()),
-            "node_key": pa.array(node, pa.int64()),
-            "seg_id": pa.array(seg, pa.int64()),
-        }
-    )
+    (node_key, seg_id) rows, one per end."""
+    return pa.table({
+        "node_key": pa.concat_arrays([batch["node_a"].combine_chunks(),
+                                      batch["node_b"].combine_chunks()]),
+        "seg_id": pa.concat_arrays([batch["seg_id"].combine_chunks()] * 2),
+    })
 
 
-def _degree2_pairs_group(g: pd.DataFrame) -> pd.DataFrame:
-    """Within one coarse group: degree-2 nodes link their two incident
-    segments (junctions and chain ends link nothing, matching GEOS).
-    Isolated segments are re-labeled by the left-outer join downstream, so
-    no self-pairs inflate the components input. Vectorized via one lexsort."""
-    node = g["node_key"].to_numpy(np.int64)
-    seg = g["seg_id"].to_numpy(np.int64)
+def _degree2_pairs(g: pa.Table) -> pa.Table:
+    """Within one node_key-sorted block: degree-2 nodes link their two
+    incident segments (junctions and chain ends link nothing, matching
+    GEOS). Isolated segments are re-labeled by the left-outer join
+    downstream, so no self-pairs inflate the components input. Vectorized
+    via one lexsort."""
+    node = g["node_key"].to_numpy()
+    seg = g["seg_id"].to_numpy()
     order = np.lexsort((seg, node))
-    node_s, seg_s = node[order], seg[order]
-    first = np.ones(len(node_s), dtype=bool)
-    first[1:] = node_s[1:] != node_s[:-1]
-    starts = np.nonzero(first)[0]
-    counts = np.diff(np.concatenate([starts, [len(node_s)]]))
-    deg2 = starts[counts == 2]
+    seg_s = seg[order]
+    starts, ends = runs(node[order])
+    deg2 = starts[ends - starts == 2]
     a, b = seg_s[deg2], seg_s[deg2 + 1]
     keep = a != b  # a 1-segment closed loop links nothing
-    return pd.DataFrame({"id_a": a[keep], "id_b": b[keep]})
+    return pa.table({"id_a": pa.array(a[keep], pa.int64()),
+                     "id_b": pa.array(b[keep], pa.int64())})
 
 
-def _walk_chains_group(g: pd.DataFrame) -> pd.DataFrame:
-    """Order each chain in the group (the one inherently sequential step,
-    bounded by chain length); emits one direction-normalized row per
-    merged line."""
+def _walk_chains(g: pa.Table) -> pa.Table:
+    """Order each chain of a label-sorted block (the one inherently
+    sequential step, bounded by chain length); emits one
+    direction-normalized row per merged line."""
     out = {"merge_label": [], "start_x": [], "start_y": [],
            "end_x": [], "end_y": [], "n_points": []}
-    labels_all = g["label"].to_numpy(np.int64)
-    # one sort, then each chain is a contiguous slice (a per-label boolean
-    # scan would be O(rows x chains) in the group)
-    order = np.argsort(labels_all, kind="stable")
-    lab_s = labels_all[order]
-    na_s = g["node_a"].to_numpy(np.int64)[order]
-    nb_s = g["node_b"].to_numpy(np.int64)[order]
-    x1_s = g["x1"].to_numpy()[order]
-    y1_s = g["y1"].to_numpy()[order]
-    x2_s = g["x2"].to_numpy()[order]
-    y2_s = g["y2"].to_numpy()[order]
-    uniq, starts_idx = np.unique(lab_s, return_index=True)
-    bounds = np.concatenate([starts_idx, [len(lab_s)]])
-    for u in range(len(uniq)):
-        lab = uniq[u]
-        s, e = bounds[u], bounds[u + 1]
+    lab_s = g["label"].to_numpy()
+    na_s = g["node_a"].to_numpy()
+    nb_s = g["node_b"].to_numpy()
+    x1_s = g["x1"].to_numpy()
+    y1_s = g["y1"].to_numpy()
+    x2_s = g["x2"].to_numpy()
+    y2_s = g["y2"].to_numpy()
+    # the block is sorted by label: each chain is a contiguous slice
+    starts_idx, stops = runs(lab_s)
+    for s, e in zip(starts_idx.tolist(), stops.tolist()):
+        lab = lab_s[s]
         na = na_s[s:e]; nb = nb_s[s:e]
         xs1 = x1_s[s:e]; ys1 = y1_s[s:e]
         xs2 = x2_s[s:e]; ys2 = y2_s[s:e]
@@ -644,35 +590,32 @@ def _walk_chains_group(g: pd.DataFrame) -> pd.DataFrame:
         out["end_x"].append(ex)
         out["end_y"].append(ey)
         out["n_points"].append(npts)
-    # explicit dtypes keep the emitted schema stable on empty groups
-    return pd.DataFrame(
-        {
-            "merge_label": pd.array(out["merge_label"], dtype="int64"),
-            "start_x": np.asarray(out["start_x"], dtype=np.float64),
-            "start_y": np.asarray(out["start_y"], dtype=np.float64),
-            "end_x": np.asarray(out["end_x"], dtype=np.float64),
-            "end_y": np.asarray(out["end_y"], dtype=np.float64),
-            "n_points": pd.array(out["n_points"], dtype="int64"),
-        }
-    )
+    return pa.table({
+        "merge_label": pa.array(out["merge_label"], pa.int64()),
+        "start_x": pa.array(out["start_x"], pa.float64()),
+        "start_y": pa.array(out["start_y"], pa.float64()),
+        "end_x": pa.array(out["end_x"], pa.float64()),
+        "end_y": pa.array(out["end_y"], pa.float64()),
+        "n_points": pa.array(out["n_points"], pa.int64()),
+    })
 
 
 def line_merge(segments_ds, id_col: str, tolerance: float = 1e-6,
-               num_partitions: int | None = None, num_groups: int = 256):
+               num_partitions: int | None = None):
     """GEOS-style line_merge, fully distributed: merge 2-point segments that
     meet end-to-end at nodes of degree exactly 2 into maximal paths
     (junction nodes of degree >= 3 never link, matching GEOS; general
     polylines can be pre-exploded to segments).
 
     Plan: node-keyed seg table materialized ONCE (both downstream legs read
-    it) -> endpoint rows on a coarse (node % num_groups) shuffle with exact
-    in-kernel per-node regroup (only degree-2 nodes emit a segment-pair
-    edge) -> connected_components over segment ids -> label lookup back
-    onto the seg table (broadcast searchsorted while bounded, hash join
-    beyond; ops/lookup.py), label defaulting to seg_id so unlinked
-    segments survive without self-pair inflation -> coarse-grouped per-chain
-    ordering walk. Join partitions are sized to the data (~50k rows per
-    aggregator), not the CPU count. label = min seg_id of the merged line.
+    it) -> endpoint rows co-grouped on node_key (only degree-2 nodes emit
+    a segment-pair edge) -> connected_components over segment ids -> label
+    lookup back onto the seg table (broadcast searchsorted while bounded,
+    hash join beyond; ops/lookup.py), label defaulting to seg_id so
+    unlinked segments survive without self-pair inflation -> co-group on
+    label and a per-chain ordering walk. Join partitions are sized to the
+    data (~50k rows per aggregator), not the CPU count. label = min seg_id
+    of the merged line.
     Returns (merge_label, start_x, start_y, end_x, end_y, n_points),
     endpoints direction-normalized (lex-smaller end first; closed rings
     report start == end).
@@ -697,13 +640,8 @@ def line_merge(segments_ds, id_col: str, tolerance: float = 1e-6,
         )
 
     segs = segments_ds.map_batches(seg_table, batch_format="pyarrow").materialize()
-    pairs = (
-        segs.map_batches(
-            lambda b: _seg_endpoint_rows(b, num_groups), batch_format="pyarrow"
-        )
-        .groupby("sg")
-        .map_groups(_degree2_pairs_group, batch_format="pandas")
-    )
+    pairs = co_group(segs.map_batches(_seg_endpoint_rows, batch_format="pyarrow"),
+                     "node_key", _degree2_pairs)
     labels = connected_components(pairs, num_partitions=num_partitions)
     n_rows = segs.count()  # free: segs is materialized
     if num_partitions is None:
@@ -719,17 +657,7 @@ def line_merge(segments_ds, id_col: str, tolerance: float = 1e-6,
         default_from="seg_id", num_partitions=num_partitions,
     )
 
-    def add_cg(b: pa.Table) -> pa.Table:
-        lab_np = b["label"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "cg", pa.array((lab_np % num_groups + num_groups) % num_groups, pa.int64())
-        )
-
-    return (
-        joined.map_batches(add_cg, batch_format="pyarrow")
-        .groupby("cg")
-        .map_groups(_walk_chains_group, batch_format="pandas")
-    )
+    return co_group(joined, "label", _walk_chains)
 
 
 def component_sizes(lines_ds, id_col: str, tolerance: float,

@@ -17,7 +17,7 @@ complement; split returns a matched flag) and the sjoin-pairs projection of
   side" plan from SURVEY.md §2.4.
 * **cell co-partition path** (both sides large): both sides are flat-mapped
   to their covering cells (cells.cover_bbox), tagged, unioned, and joined
-  per cell over Arrow groups after one sort (``_co_group``; the pairs
+  per cell over Arrow groups after one sort (``exchange.co_group``; the pairs
   join sizes it from its own cell histogram when salted). Pair
   duplicates from multi-cell geometries are removed by a distinct on
   the left id (``sfilter_cell``) — the halo-dedup discipline of the
@@ -38,9 +38,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from .. import exchange
 from ..geo import cells, kernels, wkb
 from ..geo.strtree import NODE_CAP, STRtree
-
 from ..pool import broadcast_map_batches
 
 Mode = Literal["semi", "anti", "split", "pairs"]
@@ -362,77 +362,9 @@ def _cell_counts(ds, cell_col: str = "cell") -> tuple[np.ndarray, np.ndarray]:
     return cell, n
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 # bytes one tagged left row carries through the exchange: five int64
 # columns, the int8 side and a null WKB (a 4-byte offset)
 _TAGGED_ROW_BYTES = 45
-
-
-def _co_group(ds, key: str, kernel, boundaries=None):
-    """Co-group exchange: ``kernel`` runs once per distinct ``key`` value
-    on an Arrow table holding every row of that value.
-
-    One Ray ``sort`` co-locates the keys. Given ``boundaries`` (key values
-    where a new partition starts) it runs ``len(boundaries) + 1`` reducers
-    and no sampling pass; ``None`` samples boundaries and runs one reducer
-    per input block. A sort reducer emits one sorted block, so a key never
-    straddles blocks, and one ``map_batches`` over whole blocks runs
-    ``_per_key`` on each; with ``boundaries``, ``_per_key_halves``.
-
-    Why halves: Ray Data starts the map stage behind the sort one task at
-    a time until a task reports its output size (until then it sizes each
-    task's output at the target block size against the operator's memory
-    budget). A sized exchange has about one reducer block per CPU, so its
-    kernel tasks ran back to back on one worker; each now spans two CPUs.
-    """
-    if boundaries is None:
-        ds = ds.sort(key)
-        fn = _per_key
-    else:
-        # Ray samples when it gets no boundaries: one partition is the
-        # range below int64 max (a second reducer gets only that value)
-        ds = ds.sort(key, boundaries=[int(b) for b in boundaries] or [_INT64_MAX])
-        fn = _per_key_halves
-    return ds.map_batches(fn, fn_args=(key, kernel), batch_format="pyarrow",
-                          batch_size=None)
-
-
-def _run_keys(block: pa.Table, key: str, kernel) -> pa.Table:
-    """Cut a non-empty ``key``-sorted block at key changes, call ``kernel``
-    once per key and concatenate the outputs (they must share a schema)."""
-    k = block[key].to_numpy()
-    cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
-    return pa.concat_tables([
-        kernel(block.slice(a, b - a))
-        for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(k)].tolist())])
-
-
-_run_keys_task = ray.remote(_run_keys)
-
-
-def _per_key(block: pa.Table, key: str, kernel):
-    """Yield ``_run_keys`` of a ``key``-sorted block as one table: the
-    outputs of all keys concatenated. An empty block yields nothing."""
-    if block.num_rows:
-        yield _run_keys(block, key, kernel)
-
-
-def _per_key_halves(block: pa.Table, key: str, kernel):
-    """``_per_key`` on two CPUs: the keys before the key edge nearest the
-    block's middle row run in a nested Ray task while this task runs the
-    rest. Same kernel calls and one table out, in key order. A block of
-    one key runs here whole."""
-    k = block[key].to_numpy()
-    if not len(k):
-        return
-    cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
-    if not len(cuts):
-        yield _run_keys(block, key, kernel)
-        return
-    j = int(cuts[np.argmin(np.abs(cuts - len(k) // 2))])
-    head = _run_keys_task.remote(block.slice(0, j), key, kernel)
-    tail = _run_keys(block.slice(j), key, kernel)
-    yield pa.concat_tables([ray.get(head), tail])
 
 
 def _partition_boundaries(keys, weights, n_parts: int) -> list[int]:
@@ -536,8 +468,9 @@ def sjoin_cell_partitioned(
     4. P partitions: one per session CPU, more when the estimated exchange
        bytes exceed one Ray block each, at most one per key;
     5. co-group: one sort on those boundaries (no sampling pass, P
-       reducers) and one kernel call per key (``_co_group``), each
-       reducer block's keys split over two CPUs (``_per_key_halves``).
+       reducers) and one kernel call per key (``exchange.co_group`` with
+       ``exchange.per_key``), each reducer block's keys split over two
+       CPUs.
 
     Without ``salt_threshold`` nothing is counted or materialized: the
     left streams, and the sort samples its boundaries, one reducer per
@@ -590,7 +523,8 @@ def sjoin_cell_partitioned(
         skew_mod.record_cell_skew(
             skew_report_dir, skew_mod.cell_skew_summary(both, stage=stage))
         skew_mod.record_plan(skew_report_dir, {"op": stage, **plan})
-    return _co_group(both, "cell", _per_cell_pip, boundaries)
+    return exchange.co_group(both, "cell", exchange.per_key("cell", _per_cell_pip),
+                             boundaries)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -1019,14 +953,16 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
     side exceeds the broadcast envelope (SFilter decodes the whole right
     table and builds its STRtree in every actor; at 10^6+ geometries that
     init dominates). Both sides stream as Datasets tagged with their
-    covering cells and are co-grouped by cell (``_co_group``, one sort);
+    covering cells and are co-grouped by cell (``exchange.co_group``, one
+    sort);
     each cell's kernel evaluates one predicate name of the full
     vocabulary with the broadcast plan's left-kind table
     (polygon_predicate_pairs, or lines_in_polygon_pairs_predicate for
     ``left_kind='line'``) and returns the cell's distinct matched left
-    ids. A second co-group on a 512-way id key ``sg`` keeps the distinct
-    matched ids (semi) or, with the left id universe tagged alongside,
-    the ids never matched (anti). Every group is an Arrow table. Bad
+    ids. A second co-group on the left id keeps the distinct matched ids
+    (semi) or, with the left id universe tagged alongside, the ids never
+    matched (anti), one kernel call per sorted block. Every group is an
+    Arrow table. Bad
     names, modes and left kinds raise ValueError here, before anything
     executes.
 
@@ -1061,34 +997,33 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
         gid = g["gid"].to_numpy()[li]
         return pa.table({"gid": pa.array(np.unique(gid[matched]), pa.int64())})
 
-    def add_sg(flag: int):
+    matched = exchange.co_group(lt.union(rt), "cell",
+                                exchange.per_key("cell", cell_kernel))
+    if mode == "semi":
+        # distinct matched ids (multi-cell duplicates collapse here)
+        def distinct_ids(b: pa.Table) -> pa.Table:
+            return pa.table(
+                {left_id: pa.array(np.unique(b["gid"].to_numpy()), pa.int64())})
+
+        return exchange.co_group(matched, "gid", distinct_ids)
+
+    # anti: the left id universe (flag 0) minus the matched ids (flag 1)
+    def flagged(flag: int):
         def fn(b: pa.Table) -> pa.Table:
-            gid = b["gid" if flag else left_id].to_numpy(
-                zero_copy_only=False).astype(np.int64)
             return pa.table({
-                "gid": pa.array(gid, pa.int64()),
-                "flag": pa.array(np.full(len(gid), flag, np.int8), pa.int8()),
-                "sg": pa.array((gid % 512 + 512) % 512, pa.int64()),
+                "gid": b["gid" if flag else left_id].cast(pa.int64()),
+                "flag": pa.array(np.full(b.num_rows, flag, np.int8), pa.int8()),
             })
         return fn
 
-    matched = _co_group(lt.union(rt), "cell", cell_kernel).map_batches(
-        add_sg(1), batch_format="pyarrow")
-    if mode == "semi":
-        # distinct matched ids (multi-cell duplicates collapse here)
-        def distinct_ids(g: pa.Table) -> pa.Table:
-            return pa.table(
-                {left_id: pa.array(np.unique(g["gid"].to_numpy()), pa.int64())})
-
-        return _co_group(matched, "sg", distinct_ids)
-
-    # anti: the left id universe (flag 0) minus the matched ids (flag 1)
     universe = left_ds.select_columns([left_id]).map_batches(
-        add_sg(0), batch_format="pyarrow")
+        flagged(0), batch_format="pyarrow")
 
-    def unmatched_ids(g: pa.Table) -> pa.Table:
-        gid, flag = g["gid"].to_numpy(), g["flag"].to_numpy()
+    def unmatched_ids(b: pa.Table) -> pa.Table:
+        gid, flag = b["gid"].to_numpy(), b["flag"].to_numpy()
         return pa.table({left_id: pa.array(
             np.setdiff1d(gid[flag == 0], gid[flag == 1]), pa.int64())})
 
-    return _co_group(universe.union(matched), "sg", unmatched_ids)
+    return exchange.co_group(
+        universe.union(matched.map_batches(flagged(1), batch_format="pyarrow")),
+        "gid", unmatched_ids)

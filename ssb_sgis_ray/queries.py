@@ -2782,7 +2782,7 @@ def q_minhash_pairs_bigid(sf_dir: str):
     """The q_minhash_pairs chain with every doc_id offset past 2^31.
 
     Exercises the general (lexsort) leg of _pair_dedup_local and the
-    hashed _pair_hash_groups shuffle key — the 10^12-id north-rule
+    co-group on the (id_a, id_b) pair itself — the 10^12-id north-rule
     regime where the old packed-int64 plan silently wrapped."""
 
     def shift(b: pa.Table) -> pa.Table:

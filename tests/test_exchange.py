@@ -1,0 +1,159 @@
+"""The co-group exchange (``ssb_sgis_ray.exchange``): block kernel calls
+hold whole keys, the distributed exchanges finish in a 1-CPU session,
+and the super-key groupby idiom stays out of the modules that dropped
+it."""
+
+import ast
+import json
+import os
+import signal
+import subprocess
+import sys
+import uuid
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from ssb_sgis_ray import exchange
+from test_ops_spatial import SF
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("case", ["sampled", "given", "hot_sampled", "hot_given",
+                                  "two_columns"])
+def test_co_group_block_kernel_holds_every_row_of_its_keys(ray_session, case):
+    """Each kernel call gets a key-sorted block with every row of its
+    keys, and each key reaches exactly one call: with sampled and given
+    boundaries, with one key holding 80% of the rows, and with a
+    two-column key whose first column has a hub value on half the rows."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(len(case))
+    n = 6000
+    cols = {"k": rng.integers(-50, 200, n)}
+    key, boundaries = "k", None
+    if case.startswith("hot"):
+        cols["k"][rng.random(n) < 0.8] = 7
+    if case.endswith("given"):
+        boundaries = [0, 7, 8, 120]
+    if case == "two_columns":
+        a = rng.integers(0, 40, n)
+        a[: n // 2] = 2**40
+        cols = {"a": a, "b": rng.integers(0, 60, n)}
+        key = ["a", "b"]
+    names = [key] if isinstance(key, str) else key
+    t = pa.table({**{c: pa.array(v, pa.int64()) for c, v in cols.items()},
+                  "v": pa.array(np.arange(n), pa.int64())})
+    blocks = [t.slice(i, 1000) for i in range(0, n, 1000)]
+
+    def kernel(b: pa.Table) -> pa.Table:
+        keys = [b[c].to_numpy() for c in names]
+        assert (np.lexsort(keys[::-1]) == np.arange(b.num_rows)).all()  # key-sorted
+        starts, ends = exchange.runs(*keys)
+        call = uuid.uuid4().int >> 66
+        return pa.table({
+            **{c: b[c].take(starts) for c in names},
+            "n": pa.array(ends - starts, pa.int64()),
+            "s": pa.array(np.add.reduceat(b["v"].to_numpy(), starts), pa.int64()),
+            "call": pa.array(np.full(len(starts), call), pa.int64()),
+        })
+
+    out = exchange.co_group(rd.from_arrow(blocks), key, kernel, boundaries).to_pandas()
+    got = out.set_index(names).sort_index()
+    assert not got.index.duplicated().any()  # each key in exactly one call
+    want = (pd.DataFrame({**cols, "v": np.arange(n)}).groupby(names)
+            .agg(n=("v", "size"), s=("v", "sum")))
+    pd.testing.assert_frame_equal(got[["n", "s"]], want, check_dtype=False)
+    assert out["call"].nunique() > 1
+
+
+_ONE_CPU = r"""
+import json, sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import ray.data as rd
+from ssb_sgis_ray.ops import dedup, spatial
+from ssb_sgis_ray.queries import lineitems, nations_ds
+sf, pairs_path = sys.argv[1], sys.argv[2]
+dedup.SMALL_VERIFY_PAIRS = 0
+def rows(ds, l, r):
+    df = ds.to_pandas()
+    return sorted(zip(df[l].tolist(), df[r].tolist()))
+out = {
+    "distinct": rows(dedup.distinct_pairs(rd.read_parquet(pairs_path).repartition(4)),
+                     "id_a", "id_b"),
+    "salted": rows(spatial.sjoin_cell_partitioned(
+        lineitems(sf), nations_ds(sf), res=9, left_id="l_key", right_id="n_nationkey",
+        salt_threshold=500, n_salts=8), "left_id", "right_id"),
+}
+ray.shutdown()
+print(json.dumps(out))
+"""
+
+
+def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeypatch):
+    """In a 1-CPU session the distributed pair distinct (a sampled
+    co-group on (id_a, id_b)) and the salted cell join (one sized
+    partition, whose step hands half of its block to a nested task)
+    finish and equal the 4-CPU session's answers."""
+    import ray.data as rd
+
+    from ssb_sgis_ray.ops import dedup, spatial
+    from ssb_sgis_ray.queries import lineitems, nations_ds
+
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, 300, 30_000)
+    b = rng.integers(0, 300, 30_000)
+    a[:8000] = 2**40  # a hub id beyond 31 bits
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    path = str(tmp_path / "pairs.parquet")
+    pq.write_table(pa.table({"id_a": lo, "id_b": hi}), path)
+
+    def rows(ds, left, right):
+        df = ds.to_pandas()
+        return sorted(zip(df[left].tolist(), df[right].tolist()))
+
+    monkeypatch.setattr(dedup, "SMALL_VERIFY_PAIRS", 0)
+    want = {
+        "distinct": rows(dedup.distinct_pairs(rd.read_parquet(path).repartition(4)),
+                         "id_a", "id_b"),
+        "salted": rows(spatial.sjoin_cell_partitioned(
+            lineitems(SF), nations_ds(SF), res=9, left_id="l_key",
+            right_id="n_nationkey", salt_threshold=500, n_salts=8),
+            "left_id", "right_id"),
+    }
+    assert want["distinct"] == sorted(set(zip(lo.tolist(), hi.tolist())))
+    assert len(want["salted"]) > 1000
+
+    env = dict(os.environ, PYTHONPATH=ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU, SF, path], cwd=ROOT, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the session's raylet and workers too
+        proc.communicate()
+        pytest.fail("the 1-CPU exchanges did not finish in 300 s")
+    assert proc.returncode == 0, stderr[-3000:]
+    got = json.loads(stdout.strip().splitlines()[-1])
+    assert got == {k: [list(p) for p in v] for k, v in want.items()}
+
+
+@pytest.mark.parametrize("path", ["ssb_sgis_ray/ops/dedup.py", "ssb_sgis_ray/ops/network.py"])
+def test_no_super_key_groupby(path):
+    """These modules exchange through ``co_group`` on their real keys:
+    no ``map_groups`` call and no coarse ``super``/``sg``/``cg`` key
+    column."""
+    src = open(os.path.join(ROOT, path)).read()
+    assert ".map_groups(" not in src
+    coarse = {n.value for n in ast.walk(ast.parse(src))
+              if isinstance(n, ast.Constant) and n.value in ("super", "sg", "cg")}
+    assert not coarse

@@ -959,8 +959,8 @@ def test_sfilter_cell_matches_broadcast_predicates(ray_session):
                 parts_ds, orders_ds, left_id="p_partkey",
                 right_id="o_orderkey", predicate=pred, mode=mode,
                 res=10).to_pandas()
-            # an all-matched anti set is EMPTY and Ray's empty map_groups
-            # output is schema-less (DEVNOTES quirk)
+            # an all-matched anti set is EMPTY and an empty co_group
+            # result is schema-less (DEVNOTES quirk)
             got = set(df["p_partkey"]) if "p_partkey" in df.columns else set()
             if mode == "semi":
                 assert got == want_semi, pred

@@ -1599,7 +1599,7 @@ def test_pair_unique_counts_bigid():
 
 def test_distinct_pairs_bigid_both_plans(ray_session, monkeypatch):
     """distinct_pairs end-to-end with ids beyond 2^31 on BOTH the driver
-    fast path and the forced distributed groupby(super) path."""
+    fast path and the forced distributed co-group on (id_a, id_b)."""
     import ray.data as rd
 
     rng = np.random.default_rng(3)

@@ -15,7 +15,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from ssb_sgis_ray import synth
+from ssb_sgis_ray import exchange, synth
 from ssb_sgis_ray.geo import cells, wkb
 from ssb_sgis_ray.geo.strtree import NODE_CAP
 from ssb_sgis_ray.ops import spatial
@@ -188,7 +188,8 @@ def test_co_group_calls_kernel_once_per_key(ray_session):
                          "s": pa.array([int(g["v"].to_numpy().sum())], pa.int64())})
 
     for boundaries in (None, [], [10], [0, 5, 20, 39], [-100, 1000]):
-        out = spatial._co_group(rd.from_arrow(blocks), "k", kernel, boundaries).to_pandas()
+        out = exchange.co_group(rd.from_arrow(blocks), "k", exchange.per_key("k", kernel),
+                                boundaries).to_pandas()
         assert sorted(out["k"]) == sorted(want)  # one call per key
         for k, n, s in zip(out["k"], out["n"], out["s"]):
             assert (n, s) == (len(want[k]), sum(want[k]))
@@ -207,15 +208,16 @@ def test_co_group_emits_one_table_per_block():
 
     keys = np.repeat(np.array([-4, 0, 3, 9, 2**40], np.int64), [3, 1, 5, 2, 4])
     block = pa.concat_tables([pa.table({"k": keys[:6]}), pa.table({"k": keys[6:]})])
-    (out,) = list(spatial._per_key(block, "k", kernel))
+    per_key = exchange.per_key("k", kernel)
+    (out,) = list(exchange._whole(block, "k", per_key))
     assert calls == [3, 1, 5, 2, 4]
     assert out.to_pydict() == {"k": [-4, 0, 3, 9, 2**40], "n": [3, 1, 5, 2, 4]}
-    assert list(spatial._per_key(block.slice(0, 0), "k", kernel)) == []
+    assert list(exchange._whole(block.slice(0, 0), "k", per_key)) == []
 
 
 def test_per_key_halves_runs_the_head_keys_in_a_nested_task(ray_session):
     """The sized exchange's step makes the same kernel calls as
-    ``_per_key`` and yields one table in key order; the keys before the
+    ``_whole`` and yields one table in key order; the keys before the
     middle row's key edge run in another process, the rest in the caller.
     A one-key block and an empty block stay in the caller / yield nothing."""
     def kernel(g: pa.Table) -> pa.Table:
@@ -225,17 +227,18 @@ def test_per_key_halves_runs_the_head_keys_in_a_nested_task(ray_session):
 
     keys = np.repeat(np.array([-4, 0, 3, 9, 2**40], np.int64), [3, 1, 5, 2, 4])
     block = pa.table({"k": keys})
-    (out,) = list(spatial._per_key_halves(block, "k", kernel))
-    (ref,) = list(spatial._per_key(block, "k", kernel))
+    per_key = exchange.per_key("k", kernel)
+    (out,) = list(exchange._halves(block, "k", per_key))
+    (ref,) = list(exchange._whole(block, "k", per_key))
     assert out.select(["k", "n"]).equals(ref.select(["k", "n"]))
     # key edges at rows 3, 4, 9, 11; row 9 is nearest to 15 // 2 = 7, so
     # the head is keys -4, 0, 3
     pid = out["pid"].to_pylist()
     assert pid[3:] == [os.getpid()] * 2 and os.getpid() not in pid[:3]
 
-    (one,) = list(spatial._per_key_halves(block.slice(4, 5), "k", kernel))
+    (one,) = list(exchange._halves(block.slice(4, 5), "k", per_key))
     assert one.to_pydict() == {"k": [3], "n": [5], "pid": [os.getpid()]}
-    assert list(spatial._per_key_halves(block.slice(0, 0), "k", kernel)) == []
+    assert list(exchange._halves(block.slice(0, 0), "k", per_key)) == []
 
 
 def test_salted_plan_tags_its_left_once(ray_session, tmp_path):

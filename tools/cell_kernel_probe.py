@@ -6,7 +6,7 @@ lineitem points and the 25 nation diamonds, ``perfbench/gen.py``, seed
 ``--seed``), runs the salted plan of ``ops.spatial.sjoin_cell_partitioned``
 (res 9, salt_threshold 5000, n_salts 8) in a ``--cpus`` Ray session up to
 its sort, and keeps the sorted reducer blocks. Then, in this process, it
-times ``ops.spatial._per_key`` over those blocks (one kernel call per
+times ``exchange.per_key`` over those blocks (one kernel call per
 shuffle key, one concatenated table per block) with
 
 * ``filter_tree``: the former kernel, kept here (two Arrow filters split
@@ -41,6 +41,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
 from perfbench import gen  # noqa: E402
+from ssb_sgis_ray import exchange  # noqa: E402
 from ssb_sgis_ray.geo import kernels, wkb  # noqa: E402
 from ssb_sgis_ray.geo.strtree import STRtree  # noqa: E402
 from ssb_sgis_ray.ops import spatial  # noqa: E402
@@ -78,23 +79,23 @@ def reducer_blocks(in_dir: str, cpus: int) -> list[pa.Table]:
     from ssb_sgis_ray import queries
 
     def sort_only(ds, key, kernel, boundaries=None):
-        return ds.sort(key, boundaries=[int(b) for b in boundaries] or [spatial._INT64_MAX])
+        return ds.sort(key, boundaries=[int(b) for b in boundaries] or [exchange._INT64_MAX])
 
     ray.init(address="local", num_cpus=cpus, include_dashboard=False,
              logging_level="ERROR")
-    co_group, spatial._co_group = spatial._co_group, sort_only
+    co_group, exchange.co_group = exchange.co_group, sort_only
     try:
         ds = spatial.sjoin_cell_partitioned(
             queries.lineitems(in_dir), queries.nations_ds(in_dir), res=9,
             left_id="l_key", right_id="n_nationkey", salt_threshold=5000, n_salts=8)
         return [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
     finally:
-        spatial._co_group = co_group
+        exchange.co_group = co_group
         ray.shutdown()
 
 
 def run(blocks: list[pa.Table], kernel) -> list[pa.Table]:
-    return [t for b in blocks for t in spatial._per_key(b, "cell", kernel)]
+    return [exchange.per_key("cell", kernel)(b) for b in blocks]
 
 
 def pair_multiset(tables: list[pa.Table]) -> np.ndarray:

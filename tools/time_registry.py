@@ -1,9 +1,10 @@
-"""Registry-wide timing sweep: run EVERY registry query at a given sf dir
-and print per-query wall time, slowest first. The driver bench covers ~40
-queries; this catches outliers the bench list can't see (DEVNOTES r4:
-overlay_union_cell sat at 439 s, invisible, until the first full sweep).
+"""Registry-wide timing sweep: run every registry query (or only the
+named ones) at a given sf dir and print per-query wall time, slowest
+first. `bench.py` covers ~40 queries; this catches outliers its list
+can't see (DEVNOTES r4: overlay_union_cell sat at 439 s, invisible,
+until the first full sweep).
 
-    python tools/time_registry.py [sf_dir] [num_cpus]
+    python tools/time_registry.py [sf_dir] [num_cpus] [query ...]
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.1"
     ncpu = int(sys.argv[2]) if len(sys.argv) > 2 else 32
+    only = set(sys.argv[3:])
 
     import ray
 
@@ -32,6 +34,8 @@ def main():
 
     times: dict[str, float] = {}
     for name, (fn, _) in REGISTRY.items():
+        if only and name not in only:
+            continue
         t0 = time.time()
         try:
             res = fn(sf_dir)
