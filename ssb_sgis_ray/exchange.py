@@ -2,15 +2,21 @@
 kernel call per block.
 
 ``co_group(ds, key, kernel)`` is the engine's key-co-locating shuffle.
-One Ray ``sort`` on ``key`` puts every row of a key value into one
-sorted block, and one ``map_batches`` over whole blocks calls
-``kernel(block)`` once per non-empty block. A kernel takes and returns a
-``pa.Table``; it sees many complete keys at once, already sorted, and
-regroups them with ``runs``. This replaces ``groupby(k).map_groups``,
-which calls its UDF once per group (~0.3 ms each), and with it the coarse
-"super key" (``k % 256``) that was hashed onto rows to keep the group
-count low. A kernel that is clearest per key is wrapped in ``per_key``:
-a Python loop over the block's key slices, still one task per block.
+A kernel takes and returns a ``pa.Table``; it sees many complete keys at
+once, already sorted, and regroups them with ``runs``. This replaces
+``groupby(k).map_groups``, which calls its UDF once per group (~0.3 ms
+each), and with it the coarse "super key" (``k % 256``) that was hashed
+onto rows to keep the group count low. A kernel that is clearest per key
+is wrapped in ``per_key``: a Python loop over the block's key slices,
+still one call per block.
+
+Two branches share that contract. With sampled boundaries one Ray Data
+``sort`` on ``key`` puts every row of a key into one sorted block and
+one ``map_batches`` over whole blocks calls the kernel. With boundaries
+known up front (a histogram the caller already counted) no sort operator
+runs: one plain Ray task per input block cuts it into the P key ranges
+(``np.searchsorted``, ``num_returns=P``), and P reducer tasks each
+concatenate their slices, sort them and call the kernel once.
 """
 
 from __future__ import annotations
@@ -21,40 +27,44 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
-
-def co_group(ds, key, kernel, boundaries=None):
+def co_group(ds, key, kernel, boundaries=None, prepare=None):
     """Co-group exchange: ``kernel`` runs on key-sorted Arrow tables, each
     holding every row of its ``key`` values; no key value reaches two
     calls. ``key`` is a column name or a list of names (the key is then
     the tuple of their values).
 
-    One Ray ``sort`` co-locates the keys. Given ``boundaries`` (values of
-    a one-column int key where a new partition starts) it runs
-    ``len(boundaries) + 1`` reducers and no sampling pass; ``None``
-    samples boundaries and runs one reducer per input block. A sort
-    reducer emits one sorted block, so a key never straddles blocks, and
-    one ``map_batches`` over whole blocks calls ``kernel`` on each
-    non-empty block (``_whole``); with ``boundaries``, on its two halves
-    (``_halves``).
+    ``boundaries=None``: one Ray ``sort`` samples its boundaries and runs
+    one reducer per input block; a sort reducer emits one sorted block,
+    so a key never straddles blocks, and one ``map_batches`` calls
+    ``kernel`` on each non-empty block (``_whole``). Returns a lazy
+    Dataset.
 
-    Why halves: Ray Data starts the map stage behind the sort one task at
-    a time until a task reports its output size (until then it sizes each
-    task's output at the target block size against the operator's memory
-    budget). A sized exchange has about one reducer block per CPU, so its
-    kernel tasks ran back to back on one worker; each now spans two CPUs.
+    ``boundaries`` (values of a one-column int key where a new partition
+    starts, ascending): a sized exchange of ``len(boundaries) + 1``
+    partitions on plain Ray tasks, no sample and no sort operator. Each
+    block of ``ds`` (executed once if lazy) is mapped by ``prepare`` if
+    given (it may rewrite ``key`` or replicate rows), sorted on ``key``
+    and cut at the boundaries in one task (``_cut``); partition i's
+    reducer (``_reduce``) concatenates its slices, sorts them and calls
+    ``kernel`` once, or returns an empty table without calling it when
+    no row reached it. Reducers run side by side as CPUs allow, with
+    no executor admitting them one at a time; their inputs are object
+    refs, which Ray spills past the object store's capacity. Returns a
+    materialized Dataset, one block per partition in key order.
     """
     if boundaries is None:
-        ds = ds.sort(key)
-        fn = _whole
-    else:
-        # Ray samples when it gets no boundaries: one partition is the
-        # range below int64 max (a second reducer gets only that value)
-        ds = ds.sort(key, boundaries=[int(b) for b in boundaries] or [_INT64_MAX])
-        fn = _halves
-    return ds.map_batches(fn, fn_args=(key, kernel), batch_format="pyarrow",
-                          batch_size=None)
+        return ds.sort(key).map_batches(_whole, fn_args=(key, kernel),
+                                        batch_format="pyarrow", batch_size=None)
+    n = len(boundaries) + 1
+    cuts = np.asarray(boundaries, np.int64)
+    parts = [_cut.options(num_returns=n).remote(ref, key, cuts, prepare)
+             for bundle in ds.iter_internal_ref_bundles()
+             for ref, meta in bundle.blocks if meta.num_rows != 0]
+    if n == 1:
+        parts = [[p] for p in parts]
+    return ray.data.from_arrow_refs(
+        [_reduce.remote(key, kernel, *(p[i] for p in parts)) for i in range(n)])
 
 
 def runs(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,23 +105,29 @@ def _whole(block: pa.Table, key, kernel):
         yield kernel(block)
 
 
+def _sort(block: pa.Table, key: str) -> tuple[pa.Table, np.ndarray]:
+    k = block[key].to_numpy()
+    order = np.argsort(k, kind="stable")
+    return block.take(order), k[order]
+
+
 @ray.remote
-def _kernel_task(block: pa.Table, kernel) -> pa.Table:
-    return kernel(block)
+def _cut(block: pa.Table, key: str, boundaries: np.ndarray, prepare):
+    """``prepare(block)`` sorted on ``key`` and cut into one slice per
+    partition: slice i holds the keys in [boundaries[i-1], boundaries[i])."""
+    if prepare is not None:
+        block = prepare(block)
+    block, k = _sort(block, key)
+    edges = np.r_[0, np.searchsorted(k, boundaries), len(k)].tolist()
+    slices = [block.slice(a, b - a) for a, b in zip(edges[:-1], edges[1:])]
+    return slices if len(slices) > 1 else slices[0]
 
 
-def _halves(block: pa.Table, key, kernel):
-    """``_whole`` on two CPUs: the rows before the key edge nearest the
-    block's middle row go to ``kernel`` in a nested Ray task while this
-    task runs it on the rest; one table out, in key order. A block of
-    one key runs here whole."""
-    if not block.num_rows:
-        return
-    cuts = _key_runs(block, key)[0][1:]
-    if not len(cuts):
-        yield kernel(block)
-        return
-    j = int(cuts[np.argmin(np.abs(cuts - block.num_rows // 2))])
-    head = _kernel_task.remote(block.slice(0, j), kernel)
-    tail = kernel(block.slice(j))
-    yield pa.concat_tables([ray.get(head), tail])
+@ray.remote
+def _reduce(key: str, kernel, *slices: pa.Table) -> pa.Table:
+    """``kernel`` over one partition's slices, concatenated and sorted; a
+    partition no row reached returns an empty table and calls nothing."""
+    slices = [s for s in slices if s.num_rows]
+    if not slices:
+        return pa.table({})
+    return kernel(_sort(pa.concat_tables(slices), key)[0])

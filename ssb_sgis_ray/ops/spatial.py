@@ -17,8 +17,8 @@ complement; split returns a matched flag) and the sjoin-pairs projection of
   side" plan from SURVEY.md §2.4.
 * **cell co-partition path** (both sides large): both sides are flat-mapped
   to their covering cells (cells.cover_bbox), tagged, unioned, and joined
-  per cell over Arrow groups after one sort (``exchange.co_group``; the pairs
-  join sizes it from its own cell histogram when salted). Pair
+  per cell over Arrow groups (``exchange.co_group``: one sort, or, for the
+  salted pairs join, a task exchange sized from its own cell histogram). Pair
   duplicates from multi-cell geometries are removed by a distinct on
   the left id (``sfilter_cell``) — the halo-dedup discipline of the
   reference's ``gridloop`` (bounds.py:16-173); a point lies in one cell,
@@ -31,6 +31,7 @@ mode, a sequence of names answered from one candidate pass.
 
 from __future__ import annotations
 
+import functools
 from typing import Literal
 
 import numpy as np
@@ -329,26 +330,31 @@ def _per_cell_pip(group: pa.Table) -> pa.Table:
 
 
 @ray.remote
-def _count_block_cells(block: pa.Table, cell_col: str):
-    c, n = np.unique(block[cell_col].to_numpy(zero_copy_only=False), return_counts=True)
+def _count_block_cells(block: pa.Table, cell_col: str, side: int | None):
+    cell = block[cell_col].to_numpy(zero_copy_only=False)
+    if side is not None:
+        cell = cell[block["side"].to_numpy(zero_copy_only=False) == side]
+    c, n = np.unique(cell, return_counts=True)
     return c.astype(np.int64), n.astype(np.int64)
 
 
-def _cell_counts(ds, cell_col: str = "cell") -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of ``cell_col`` in ``ds`` and their row counts.
+def _cell_counts(ds, cell_col: str = "cell",
+                 side: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of ``cell_col`` in ``ds`` and their row counts;
+    with ``side`` (0 left, 1 right), only of the tagged rows of that side.
 
     One plain Ray task per block of ``ds`` counts its cells; the calling
     process merges the small per-block counts in block order. On a
     materialized Dataset no Ray Data execution runs; a lazy one executes
-    once, projected to ``cell_col``. No exchange runs either way, and the
-    calling process holds O(distinct cells) at a time. Returns
+    once, projected to the columns counted. No exchange runs either way,
+    and the calling process holds O(distinct cells) at a time. Returns
     (cells, counts), both int64, sorted by cell.
     """
     from ray.data.dataset import MaterializedDataset
 
     if not isinstance(ds, MaterializedDataset):
-        ds = ds.select_columns([cell_col])
-    parts = [_count_block_cells.remote(ref, cell_col)
+        ds = ds.select_columns([cell_col] if side is None else [cell_col, "side"])
+    parts = [_count_block_cells.remote(ref, cell_col, side)
              for bundle in ds.iter_internal_ref_bundles()
              for ref in bundle.block_refs]
     cell = np.empty(0, np.int64)
@@ -451,26 +457,30 @@ def sjoin_cell_partitioned(
     identical with or without salting.
 
     The salted plan (``salt_threshold`` set) sizes its exchange from its
-    own histogram, all before this function returns:
+    own histogram and runs it before this function returns:
 
-    1. histogram: the tagged left is materialized, once; one Ray task per
-       block counts its rows per cell and the calling process merges the
-       counts (``_cell_counts``, no shuffle). Salting and the join read
-       the same blocks, so the left is read and tagged once per query;
-       the tagged left (~45 B a row) stays in the object store, spilled
-       by Ray past its capacity, while the returned Dataset lives;
-    2. salts: cells above the threshold ("urban hotspots") are hot. Their
-       left rows split into ``n_salts`` sub-keys by a hash of the left id
-       (``_salt_left``) and their right rows are replicated to every
-       sub-key (``_salt_right``);
-    3. boundaries: the shuffle keys, weighted by their left rows, are cut
-       at cumulative-weight quantiles (``_partition_boundaries``);
-    4. P partitions: one per session CPU, more when the estimated exchange
-       bytes exceed one Ray block each, at most one per key;
-    5. co-group: one sort on those boundaries (no sampling pass, P
-       reducers) and one kernel call per key (``exchange.co_group`` with
-       ``exchange.per_key``), each reducer block's keys split over two
-       CPUs.
+    1. tag: one Ray Data execution materializes the tagged left and
+       right together (``lt.union(rt)``); the histogram, the salting and
+       the exchange read these blocks, so each side is read and tagged
+       once per query;
+    2. histogram: one Ray task per block counts its left rows per cell
+       and the calling process merges the counts (``_cell_counts`` with
+       ``side=0``, no shuffle);
+    3. salts and boundaries: cells above the threshold ("urban
+       hotspots") are hot. Their left rows will split into ``n_salts``
+       sub-keys by a hash of the left id (``_salt_left``) and their right
+       rows be replicated to every sub-key (``_salt_right``); the shuffle
+       keys, weighted by their left rows, are cut at cumulative-weight
+       quantiles (``_partition_boundaries``) into P partitions: one per
+       session CPU, more when the estimated exchange bytes exceed one
+       Ray block each, at most one per key;
+    4. cut: one Ray task per tagged block salts it (``_salt``), sorts it
+       on the shuffle key and cuts it into P slices (``exchange.co_group``
+       with ``boundaries`` and ``prepare``; no sort operator, no sample);
+    5. reduce: P tasks each concatenate and sort their slices and call
+       ``_per_cell_pip`` once per shuffle key (``exchange.per_key``).
+       The result is a materialized Dataset of the P reducers' tables;
+       the tagged blocks are released when this function returns.
 
     Without ``salt_threshold`` nothing is counted or materialized: the
     left streams, and the sort samples its boundaries, one reducer per
@@ -478,9 +488,10 @@ def sjoin_cell_partitioned(
 
     ``skew_report_dir``: when set, the post-salting per-cell row
     histogram is summarized into <dir>/skew_metrics.jsonl (straggler
-    telemetry — state.skew) at the cost of one extra execution of the
-    salting and the right side's tagging, and the plan's sizing is
-    appended to <dir>/plan_metrics.jsonl.
+    telemetry — state.skew) at the cost of one extra execution (of the
+    salting over the tagged blocks; of both tagging maps when nothing is
+    salted), and the plan's sizing is appended to
+    <dir>/plan_metrics.jsonl.
     """
     lt = left.map_batches(
         lambda b: _tag_points_with_cells(b, res, left_id, x_col, y_col),
@@ -490,14 +501,14 @@ def sjoin_cell_partitioned(
         lambda b: _tag_polys_with_cells(b, res, right_id), batch_format="pyarrow"
     )
 
-    hot = np.empty(0, np.int64)
-    boundaries = None
     plan = {"est_rows": None, "hot_cells": 0, "n_salts": n_salts,
             "partitions": None, "max_partition_rows_est": None}
+    both = lt.union(rt)
+    boundaries = prepare = None
     if salt_threshold is not None:
-        # tagged once: the histogram and the join both read these blocks
-        lt = lt.materialize()
-        cell, n = _cell_counts(lt)  # the skew histogram, no shuffle
+        # tagged once: the histogram and the exchange read these blocks
+        both = both.materialize()
+        cell, n = _cell_counts(both, side=0)  # the skew histogram, no shuffle
         hot = cell[n > salt_threshold]
         keys, weights = _shuffle_keys(cell, n, hot, n_salts)
         boundaries = _partition_boundaries(
@@ -506,25 +517,20 @@ def sjoin_cell_partitioned(
                     partitions=len(boundaries) + 1,
                     max_partition_rows_est=int(np.ceil(
                         _partition_loads(keys, weights, boundaries).max())))
+        if len(hot):
+            prepare = functools.partial(_salt, hot_cells=hot, n_salts=n_salts)
 
-    if len(hot):
-        lt = lt.map_batches(
-            lambda b: _salt_left(b, hot, n_salts), batch_format="pyarrow"
-        )
-        rt = rt.map_batches(
-            lambda b: _salt_right(b, hot, n_salts), batch_format="pyarrow"
-        )
-
-    both = lt.union(rt)
     if skew_report_dir is not None:
         from ..state import skew as skew_mod
 
         stage = f"pip_pairs_cell(res={res}, salt_threshold={salt_threshold})"
+        salted = both if prepare is None else both.map_batches(
+            prepare, batch_format="pyarrow", batch_size=None)
         skew_mod.record_cell_skew(
-            skew_report_dir, skew_mod.cell_skew_summary(both, stage=stage))
+            skew_report_dir, skew_mod.cell_skew_summary(salted, stage=stage))
         skew_mod.record_plan(skew_report_dir, {"op": stage, **plan})
     return exchange.co_group(both, "cell", exchange.per_key("cell", _per_cell_pip),
-                             boundaries)
+                             boundaries, prepare)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -561,6 +567,19 @@ def _salt_right(batch: pa.Table, hot_cells: np.ndarray, n_salts: int) -> pa.Tabl
     rows, salt = _replicate(np.where(_is_hot(cell, hot_cells), n_salts, 1))
     out = batch.take(pa.array(rows, pa.int64()))
     return out.set_column(0, "cell", pa.array(cell[rows] * n_salts + salt, pa.int64()))
+
+
+def _salt(block: pa.Table, hot_cells: np.ndarray, n_salts: int) -> pa.Table:
+    """A tagged block's shuffle keys: its left rows through ``_salt_left``,
+    its right rows through ``_salt_right`` (looked up at call time, so a
+    wrapped module attribute is the one called)."""
+    is_left = block["side"].to_numpy(zero_copy_only=False) == 0
+    if is_left.all():
+        return _salt_left(block, hot_cells, n_salts)
+    if not is_left.any():
+        return _salt_right(block, hot_cells, n_salts)
+    return pa.concat_tables([_salt_left(block.filter(is_left), hot_cells, n_salts),
+                             _salt_right(block.filter(~is_left), hot_cells, n_salts)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ evidence rather than guessed.
 The histogram pass projects ONLY the cell column and counts cells in one
 Ray task per block (``ops.spatial._cell_counts``): no shuffle runs, and
 the calling process merges one small count per block. Enabling
-telemetry still re-executes the upstream salting and right-side tagging
-once more (the salted plan's left is materialized), so it is opt-in per
-run, not always-on.
+telemetry still runs one more execution (the salting over the salted
+plan's materialized tagged blocks; both tagging maps when nothing is
+salted), so it is opt-in per run, not always-on.
 
 The same directory gets one plan row per sized exchange in
 ``plan_metrics.jsonl`` (estimated rows, hot cells, salts, partitions,

@@ -99,9 +99,9 @@ print(json.dumps(out))
 
 def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeypatch):
     """In a 1-CPU session the distributed pair distinct (a sampled
-    co-group on (id_a, id_b)) and the salted cell join (one sized
-    partition, whose step hands half of its block to a nested task)
-    finish and equal the 4-CPU session's answers."""
+    co-group on (id_a, id_b)) and the salted cell join (a task exchange
+    with one sized partition) finish and equal the 4-CPU session's
+    answers."""
     import ray.data as rd
 
     from ssb_sgis_ray.ops import dedup, spatial

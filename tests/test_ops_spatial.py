@@ -1258,6 +1258,27 @@ def test_cell_counts_equals_groupby_count(ray_session):
     assert len(empty.groupby("cell").aggregate(Count(alias_name="n")).to_pandas()) == 0
 
 
+def test_cell_counts_of_one_side(ray_session):
+    """With ``side`` only that side's rows are counted, in lazy and
+    materialized Datasets, in blocks of one side or of both; a side with
+    no rows gives empty counts."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(4)
+    blocks = [pa.table({"cell": pa.array(rng.integers(0, 30, 500), pa.int64()),
+                        "side": pa.array(s, pa.int8())})
+              for s in (np.zeros(500), np.ones(500), rng.integers(0, 2, 500))]
+    both = pa.concat_tables(blocks)
+    for ds in (rd.from_arrow(blocks), rd.from_arrow(blocks).materialize()):
+        for side in (0, 1):
+            cell, n = spatial._cell_counts(ds, side=side)
+            keep = both["side"].to_numpy() == side
+            want_cell, want_n = np.unique(both["cell"].to_numpy()[keep], return_counts=True)
+            assert cell.tolist() == want_cell.tolist() and n.tolist() == want_n.tolist()
+    cell, n = spatial._cell_counts(rd.from_arrow(blocks[:1]), side=1)
+    assert len(cell) == len(n) == 0
+
+
 def test_per_cell_pip_arrow_groups():
     """One-sided groups give typed empty int64 pairs; a mixed group made of
     several chunks joins its point to the polygon it lies in."""

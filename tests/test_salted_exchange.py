@@ -1,7 +1,8 @@
 """The salted cell join's exchange: salt evenness, histogram-sized
-partition boundaries, the co-group step, the per-cell kernel against a
-brute-force reference, tagging the left once, and pair equality across
-plans."""
+partition boundaries, the co-group step and its reducer tasks, the
+per-cell kernel against a brute-force reference, tagging each side once,
+the recorded sizing and skew rows, a spill at Ray's minimum object
+store, and pair equality across plans."""
 
 import json
 import os
@@ -12,6 +13,7 @@ from collections import Counter
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -215,70 +217,164 @@ def test_co_group_emits_one_table_per_block():
     assert list(exchange._whole(block.slice(0, 0), "k", per_key)) == []
 
 
-def test_per_key_halves_runs_the_head_keys_in_a_nested_task(ray_session):
-    """The sized exchange's step makes the same kernel calls as
-    ``_whole`` and yields one table in key order; the keys before the
-    middle row's key edge run in another process, the rest in the caller.
-    A one-key block and an empty block stay in the caller / yield nothing."""
-    def kernel(g: pa.Table) -> pa.Table:
-        return pa.table({"k": pa.array([g["k"][0].as_py()], pa.int64()),
-                         "n": pa.array([g.num_rows], pa.int64()),
-                         "pid": pa.array([os.getpid()], pa.int64())})
-
-    keys = np.repeat(np.array([-4, 0, 3, 9, 2**40], np.int64), [3, 1, 5, 2, 4])
-    block = pa.table({"k": keys})
-    per_key = exchange.per_key("k", kernel)
-    (out,) = list(exchange._halves(block, "k", per_key))
-    (ref,) = list(exchange._whole(block, "k", per_key))
-    assert out.select(["k", "n"]).equals(ref.select(["k", "n"]))
-    # key edges at rows 3, 4, 9, 11; row 9 is nearest to 15 // 2 = 7, so
-    # the head is keys -4, 0, 3
-    pid = out["pid"].to_pylist()
-    assert pid[3:] == [os.getpid()] * 2 and os.getpid() not in pid[:3]
-
-    (one,) = list(exchange._halves(block.slice(4, 5), "k", per_key))
-    assert one.to_pydict() == {"k": [3], "n": [5], "pid": [os.getpid()]}
-    assert list(exchange._halves(block.slice(0, 0), "k", per_key)) == []
-
-
-def test_salted_plan_tags_its_left_once(ray_session, tmp_path):
-    """The salted plan runs a left-side map once per left block: the
-    histogram and the join read the same tagged blocks. Its pairs equal
-    the unsalted and broadcast plans'."""
+def test_sized_co_group_runs_one_reducer_task_per_partition(ray_session):
+    """Given boundaries, the exchange returns one block per partition in
+    key order: partition i holds the keys in [b[i-1], b[i]), and each key
+    reaches exactly one kernel call. A partition no row reached (all
+    boundaries below or above every key) returns an empty table without
+    calling the kernel; no boundaries give one partition. A ``prepare``
+    step rewrites the key inside the exchange."""
+    import ray
     import ray.data as rd
+
+    rng = np.random.default_rng(11)
+    blocks = [pa.table({"k": pa.array(rng.integers(-3, 40, 300), pa.int64()),
+                        "v": pa.array(np.arange(300) + 300 * i, pa.int64())})
+              for i in range(4)]
+    k = np.concatenate([b["k"].to_numpy() for b in blocks])
+
+    def kernel(b: pa.Table) -> pa.Table:
+        keys = b["k"].to_numpy()
+        assert (np.diff(keys) >= 0).all()  # key-sorted
+        starts, ends = exchange.runs(keys)
+        return pa.table({"k": b["k"].take(starts),
+                         "n": pa.array(ends - starts, pa.int64()),
+                         "call": pa.array(np.full(len(starts), os.urandom(4).hex()))})
+
+    for boundaries, empty in (([0, 5, 20, 39], []), ([-100], [0]),
+                              ([1000, 2000], [1, 2]), ([], [])):
+        parts = ray.get(exchange.co_group(rd.from_arrow(blocks), "k", kernel,
+                                          boundaries).to_arrow_refs())
+        assert len(parts) == len(boundaries) + 1
+        edges = [-np.inf, *boundaries, np.inf]
+        for i, t in enumerate(parts):
+            if i in empty:
+                assert t.num_rows == 0 and t.num_columns == 0  # no kernel call
+                continue
+            assert len(set(t["call"].to_pylist())) == 1  # one call per partition
+            assert all(edges[i] <= x < edges[i + 1] for x in t["k"].to_pylist())
+        got = pa.concat_tables([t for t in parts if t.num_rows])
+        want_k, want_n = np.unique(k, return_counts=True)
+        assert got["k"].to_pylist() == want_k.tolist()  # each key once, in order
+        assert got["n"].to_pylist() == want_n.tolist()
+
+    def shift(b: pa.Table) -> pa.Table:
+        return b.set_column(0, "k", pc.add(b["k"], 100))
+
+    parts = ray.get(exchange.co_group(rd.from_arrow(blocks), "k", kernel, [120],
+                                      prepare=shift).to_arrow_refs())
+    assert [t["k"].to_pylist() for t in parts] == [
+        [x + 100 for x in range(-3, 20)], [x + 100 for x in range(20, 40)]]
+
+
+def test_salted_plan_tags_its_left_once(ray_session, tmp_path, monkeypatch):
+    """The salted plan runs a left-side map once per left block and a
+    right-side map once per right block: the histogram and the exchange
+    read the same tagged blocks. Its one Ray Data execution is the
+    tagging; no sort runs, and it returns a materialized Dataset. Its
+    pairs equal the unsalted and broadcast plans'."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+    from ray.data.dataset import MaterializedDataset
 
     table = pa.Table.from_pandas(lineitems(SF).to_pandas(), preserve_index=False)
     blocks = [table.slice(i, 2000) for i in range(0, table.num_rows, 2000)]
     assert len(blocks) == 3
-    log = str(tmp_path / "calls")
+    nat = synth.add_nation_diamonds(
+        pq.read_table(f"{SF}/nation.parquet", columns=["n_nationkey"]))
 
-    def counted(b: pa.Table) -> pa.Table:
-        with open(log, "a") as f:
-            f.write(f"{b.num_rows}\n")
-        return b
+    def counted(log):
+        def fn(b: pa.Table) -> pa.Table:
+            with open(log, "a") as f:
+                f.write(f"{b.num_rows}\n")
+            return b
+        return fn
+
+    def calls(log):
+        with open(log) as f:
+            return sorted(int(x) for x in f)
 
     def pairs(ds, left="left_id", right="right_id"):
         df = ds.to_pandas()
         return sorted(zip(df[left].tolist(), df[right].tolist()))
 
-    left = rd.from_arrow(blocks).map_batches(counted, batch_format="pyarrow",
+    left_log, right_log = str(tmp_path / "left"), str(tmp_path / "right")
+    left = rd.from_arrow(blocks).map_batches(counted(left_log), batch_format="pyarrow",
                                              batch_size=None)
-    salted = pairs(spatial.sjoin_cell_partitioned(
-        left, nations_ds(SF), res=9, left_id="l_key", right_id="n_nationkey",
-        salt_threshold=500, n_salts=8))
-    with open(log) as f:
-        assert sorted(int(x) for x in f) == [2000, 2000, 2000]
+    right = rd.from_arrow([nat.slice(0, 13), nat.slice(13)]).map_batches(
+        counted(right_log), batch_format="pyarrow", batch_size=None)
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counted_execute(self, *a, **k):
+        executions.append(1)
+        return execute(self, *a, **k)
+
+    def no_sort(*a, **k):
+        raise AssertionError("the salted plan ran a Ray Data sort")
+
+    with monkeypatch.context() as m:
+        m.setattr(StreamingExecutor, "execute", counted_execute)
+        m.setattr(rd.Dataset, "sort", no_sort)
+        out = spatial.sjoin_cell_partitioned(
+            left, right, res=9, left_id="l_key", right_id="n_nationkey",
+            salt_threshold=500, n_salts=8)
+        assert isinstance(out, MaterializedDataset) and len(executions) == 1
+    salted = pairs(out)
+    assert calls(left_log) == [2000, 2000, 2000]
+    assert calls(right_log) == [12, 13]
 
     plain = pairs(spatial.sjoin_cell_partitioned(
         rd.from_arrow(blocks), nations_ds(SF), res=9, left_id="l_key",
         right_id="n_nationkey"))
-    nat = synth.add_nation_diamonds(
-        pq.read_table(f"{SF}/nation.parquet", columns=["n_nationkey"]))
     bcast = pairs(spatial.sjoin_pairs(rd.from_arrow(blocks), nat,
                                       right_cols=["n_nationkey"]),
                   "l_key", "n_nationkey")
     assert len(bcast) > 1000
     assert salted == plain == bcast
+
+
+def test_salted_plan_telemetry_on_the_skew_fixture(ray_session, tmp_path):
+    """The sizing row and the post-salting skew summary the salted plan
+    records: the histogram counts left rows only (``_cell_counts`` with
+    ``side=0``), the summary counts every salted row of both sides. Both
+    equal a numpy evaluation over the collected sides and the values the
+    plan recorded when it salted in Ray Data maps (4-CPU session)."""
+    import ray.data as rd
+
+    from ssb_sgis_ray.state import skew
+
+    report = str(tmp_path / "report")
+    spatial.sjoin_cell_partitioned(
+        lineitems(SF), nations_ds(SF), res=9, left_id="l_key", right_id="n_nationkey",
+        salt_threshold=500, n_salts=8, skew_report_dir=report)
+    (plan,) = skew.load_plans(report)
+    (summary,) = skew.load_cell_skew(report)
+
+    lt = spatial._tag_points_with_cells(pa.Table.from_pandas(
+        lineitems(SF).to_pandas(), preserve_index=False), 9, "l_key", "px", "py")
+    rt = spatial._tag_polys_with_cells(pa.Table.from_pandas(
+        nations_ds(SF).to_pandas(), preserve_index=False), 9, "n_nationkey")
+    cell, n = np.unique(lt["cell"].to_numpy(), return_counts=True)
+    hot = cell[n > 500]
+    keys, weights = spatial._shuffle_keys(cell, n, hot, 8)
+    bounds = spatial._partition_boundaries(keys, weights, 4)
+    salted = np.concatenate([spatial._salt_left(lt, hot, 8)["cell"].to_numpy(),
+                             spatial._salt_right(rt, hot, 8)["cell"].to_numpy()])
+    want = skew.cell_skew_summary(rd.from_arrow(pa.table({"cell": salted})),
+                                  stage="pip_pairs_cell(res=9, salt_threshold=500)")
+
+    assert {k: plan[k] for k in ("est_rows", "hot_cells", "partitions",
+                                 "max_partition_rows_est")} == {
+        "est_rows": len(lt), "hot_cells": len(hot), "partitions": len(bounds) + 1,
+        "max_partition_rows_est": int(np.ceil(
+            spatial._partition_loads(keys, weights, bounds).max()))}
+    assert summary == want
+    assert plan == {"op": "pip_pairs_cell(res=9, salt_threshold=500)", "est_rows": 6000,
+                    "hot_cells": 3, "n_salts": 8, "partitions": 4,
+                    "max_partition_rows_est": 1599}
+    assert {k: summary[k] for k in ("n_cells", "rows", "max", "median", "p90", "p99")} == {
+        "n_cells": 125, "rows": 6291, "max": 257, "median": 34, "p90": 81, "p99": 248}
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +531,9 @@ print(json.dumps(out))
 
 
 def test_salted_plan_in_one_cpu_session(tmp_path):
-    """A 1-CPU session sizes the exchange to one partition (the sort's
-    single range below int64 max) and the salted plan still matches the
-    unsalted and broadcast plans (``test_salted_join_equals_unsalted``
+    """A 1-CPU session sizes the exchange to one partition (one reducer
+    task) and the salted plan still matches the unsalted and broadcast
+    plans (``test_salted_join_equals_unsalted``
     checks the same in the 4-CPU test session)."""
     env = dict(os.environ, PYTHONPATH=ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
     run = subprocess.run(
@@ -449,6 +545,80 @@ def test_salted_plan_in_one_cpu_session(tmp_path):
     assert out["salted"] == out["plain"] == out["bcast"]
     (plan,) = out["plan"]
     assert plan["partitions"] == 1 and plan["max_partition_rows_est"] == 6000
+
+
+_SPILL = r"""
+import glob, json, re, sys
+import numpy as np
+import pyarrow as pa
+import ray
+ray.init(address="local", num_cpus=2, object_store_memory=78_643_200,
+         include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import ray.data as rd
+from ssb_sgis_ray import synth
+from ssb_sgis_ray.ops import spatial
+n = int(sys.argv[1])
+def points(k):
+    # even ids in a 2 km hotspot (a few res-9 cells), odd ids over 40 km;
+    # coordinates = 2 (mod 4), as in synth
+    hot, j = k % 2 == 0, k // 2
+    px = np.where(hot, 20000 + 4 * ((j * 2239) % 500), 4 * ((j * 2239) % 10000)) + 2
+    py = np.where(hot, 20000 + 4 * (((j // 500) * 3571) % 500),
+                  4 * (((j // 10000) * 3571) % 10000)) + 2
+    return px, py
+def left_block(b):
+    k = b["id"].to_numpy()
+    px, py = points(k)
+    return pa.table({"left_id": k, "px": px, "py": py})
+# diamonds: centres = 0 (mod 4), radii = 1 (mod 4), so no point is on an edge
+g = np.arange(5) * 8000 + 4000
+sx = np.r_[np.repeat(g, 5), 20800, 21200, 20400]
+sy = np.r_[np.tile(g, 5), 20800, 21200, 21600]
+r = np.r_[np.full(25, 1201), 801, 401, 1601]
+right = rd.from_arrow(pa.table({"right_id": np.arange(len(r)),
+                                "geometry_wkb": pa.array(synth.diamond_wkb(sx, sy, r),
+                                                         pa.binary())}))
+left = rd.range(n, override_num_blocks=16).map_batches(left_block, batch_format="pyarrow")
+out = spatial.sjoin_cell_partitioned(left, right, res=9, salt_threshold=50_000, n_salts=8)
+got = pa.concat_tables([t for t in ray.get(out.to_arrow_refs()) if t.num_rows])
+got = np.sort(got["left_id"].to_numpy() * 64 + got["right_id"].to_numpy())
+# the raylet logs each spill ("Spilled 86 MiB, 35 objects, ...")
+logs = glob.glob(ray._private.worker._global_node.get_session_dir_path() + "/logs/raylet*.out")
+spilled = max([int(m) for f in logs for m in re.findall(r"Spilled (\d+) MiB", open(f).read())],
+              default=0)
+k = np.arange(n)
+px, py = points(k)
+want = np.sort(np.concatenate([k[np.abs(px - x) + np.abs(py - y) <= d] * 64 + i
+                               for i, (x, y, d) in enumerate(zip(sx, sy, r))]))
+ray.shutdown()
+print(json.dumps({"pairs": len(got), "equal": bool(np.array_equal(got, want)),
+                  "spilled_mib": spilled}))
+"""
+
+
+def test_salted_plan_spills_past_a_minimum_object_store():
+    """The salted join over 2M skewed points built on the workers, in a
+    session whose object store is Ray's minimum (75 MiB): the tagged
+    blocks (~45 B a row, ~90 MB) and their cut slices do not fit, Ray
+    spills them, and the join finishes with the pairs of a numpy
+    evaluation of the diamond predicate |px - sx| + |py - sy| <= r."""
+    env = dict(os.environ, PYTHONPATH=ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SPILL, str(2_000_000)], cwd=ROOT, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=420)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the session's raylet and workers too
+        proc.communicate()
+        pytest.fail("the salted join did not finish in 420 s at the minimum object store")
+    assert proc.returncode == 0, stderr[-3000:]
+    out = json.loads(stdout.strip().splitlines()[-1])
+    assert out["pairs"] > 100_000 and out["equal"]
+    assert out["spilled_mib"] > 0
 
 
 _ONE_CPU_NO_HINT = r"""

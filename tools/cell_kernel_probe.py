@@ -4,10 +4,11 @@ STRtree kernel against the lean one.
 Generates the ``skew_join`` benchmark's input (``--lineitems`` skewed
 lineitem points and the 25 nation diamonds, ``perfbench/gen.py``, seed
 ``--seed``), runs the salted plan of ``ops.spatial.sjoin_cell_partitioned``
-(res 9, salt_threshold 5000, n_salts 8) in a ``--cpus`` Ray session up to
-its sort, and keeps the sorted reducer blocks. Then, in this process, it
-times ``exchange.per_key`` over those blocks (one kernel call per
-shuffle key, one concatenated table per block) with
+(res 9, salt_threshold 5000, n_salts 8) in a ``--cpus`` Ray session
+through its exchange with a kernel that returns its input, and keeps the
+sorted reducer blocks. Then, in this process, it times
+``exchange.per_key`` over those blocks (one kernel call per shuffle key,
+one concatenated table per block) with
 
 * ``filter_tree``: the former kernel, kept here (two Arrow filters split
   the sides, an STRtree is built and queried for every group), and
@@ -73,17 +74,19 @@ SIDES = {"filter_tree": filter_tree_pip, "lean": spatial._per_cell_pip}
 
 
 def reducer_blocks(in_dir: str, cpus: int) -> list[pa.Table]:
-    """The sorted blocks the salted plan's reducers hand to its kernel."""
+    """The sorted blocks the salted plan's reducers hand to its kernel:
+    the plan's own exchange (boundaries and salting step) with a kernel
+    that returns its block."""
     import ray
 
     from ssb_sgis_ray import queries
 
-    def sort_only(ds, key, kernel, boundaries=None):
-        return ds.sort(key, boundaries=[int(b) for b in boundaries] or [exchange._INT64_MAX])
+    def capture(ds, key, kernel, boundaries=None, prepare=None):
+        return co_group(ds, key, _identity, boundaries, prepare)
 
     ray.init(address="local", num_cpus=cpus, include_dashboard=False,
              logging_level="ERROR")
-    co_group, exchange.co_group = exchange.co_group, sort_only
+    co_group, exchange.co_group = exchange.co_group, capture
     try:
         ds = spatial.sjoin_cell_partitioned(
             queries.lineitems(in_dir), queries.nations_ds(in_dir), res=9,
@@ -92,6 +95,10 @@ def reducer_blocks(in_dir: str, cpus: int) -> list[pa.Table]:
     finally:
         exchange.co_group = co_group
         ray.shutdown()
+
+
+def _identity(block: pa.Table) -> pa.Table:
+    return block
 
 
 def run(blocks: list[pa.Table], kernel) -> list[pa.Table]:
