@@ -17,6 +17,12 @@ known up front (a histogram the caller already counted) no sort operator
 runs: one plain Ray task per input block cuts it into the P key ranges
 (``np.searchsorted``, ``num_returns=P``), and P reducer tasks each
 concatenate their slices, sort them and call the kernel once.
+
+The sized branch's inputs come from the helpers below: ``key_counts``
+(one task per non-empty block counts its rows per key), then
+``balanced_boundaries`` over ``n_partitions`` ranges of about equal row
+weight. The salted cell join and the partitioned sink size their
+exchanges with them.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import functools
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 
@@ -131,3 +138,83 @@ def _reduce(key: str, kernel, *slices: pa.Table) -> pa.Table:
     if not slices:
         return pa.table({})
     return kernel(_sort(pa.concat_tables(slices), key)[0])
+
+
+@ray.remote
+def _count_block(block: pa.Table, key: str, side: int | None):
+    col = block[key]
+    if side is not None:
+        col = col.filter(pc.equal(block["side"], side))
+    counts = pc.value_counts(col)
+    return counts.field("values"), counts.field("counts").to_numpy()
+
+
+def key_counts(ds, key: str, side: int | None = None) -> tuple[pa.Array, np.ndarray]:
+    """Distinct values of ``key`` in ``ds`` and their row counts; with
+    ``side`` (0 left, 1 right), only of the rows whose ``side`` column
+    holds it.
+
+    One plain Ray task per non-empty block of ``ds`` counts its keys (a
+    0-row block, which may carry no columns, is skipped by its
+    metadata); the calling process merges the small per-block counts in
+    block order. On a materialized Dataset no Ray Data execution runs; a
+    lazy one executes once, projected to the columns counted. No
+    exchange runs either way, and the calling process holds O(distinct
+    keys) at a time. Returns (keys, counts): the keys ascending with a
+    null key last, the counts int64.
+    """
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.select_columns([key] if side is None else [key, "side"])
+    parts = [_count_block.remote(ref, key, side)
+             for bundle in ds.iter_internal_ref_bundles()
+             for ref, meta in bundle.blocks if meta.num_rows != 0]
+    keys, n = pa.array([], pa.int64()), np.empty(0, np.int64)
+    for part in parts:
+        k, c = ray.get(part)
+        merged = pa.table({"k": pa.concat_arrays([keys.cast(k.type), k]),
+                           "n": np.concatenate([n, c])}).group_by("k").aggregate([("n", "sum")])
+        keys, n = merged["k"].combine_chunks(), merged["n_sum"].to_numpy()
+    order = pc.sort_indices(keys, null_placement="at_end")
+    return keys.take(order), n[order.to_numpy()]
+
+
+def balanced_boundaries(keys, weights, n_parts: int) -> list[int]:
+    """Cut sorted int ``keys`` into at most ``n_parts`` contiguous ranges
+    of about equal total ``weight``; returns the key starting each range
+    after the first (empty for one range): the ``boundaries`` of a sized
+    ``co_group``.
+
+    Each cut sits at the key edge nearest its cumulative-weight quantile,
+    so no range exceeds mean + the largest single key weight. With at
+    least as many parts as keys every key is its own range.
+    """
+    keys = np.asarray(keys, np.int64)
+    if n_parts <= 1 or len(keys) <= 1:
+        return []
+    if n_parts >= len(keys):
+        return keys[1:].tolist()
+    cum = np.concatenate(([0.0], np.cumsum(np.asarray(weights, np.float64))))
+    target = cum[-1] * np.arange(1, n_parts) / n_parts
+    hi = np.searchsorted(cum, target)
+    lo = np.maximum(hi - 1, 0)
+    edge = np.where(cum[hi] - target <= target - cum[lo], hi, lo)
+    edge = np.unique(edge[(edge > 0) & (edge < len(keys))])
+    return keys[edge].tolist()
+
+
+def partition_loads(keys, weights, boundaries) -> np.ndarray:
+    """Total weight per range of ``balanced_boundaries``' cut."""
+    part = np.searchsorted(np.asarray(boundaries, np.int64), keys, side="right")
+    return np.bincount(part, weights=weights, minlength=len(boundaries) + 1)
+
+
+def n_partitions(est_bytes: int, n_keys: int) -> int:
+    """Partition count of a sized exchange: one per session CPU, more when
+    the estimated bytes exceed one Ray block each, at most one per key."""
+    from ray.data import DataContext
+
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    block = DataContext.get_current().target_max_block_size or 128 << 20
+    return max(1, min(n_keys, max(cpus, -(-est_bytes // block))))

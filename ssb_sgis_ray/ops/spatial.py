@@ -329,88 +329,9 @@ def _per_cell_pip(group: pa.Table) -> pa.Table:
     )
 
 
-@ray.remote
-def _count_block_cells(block: pa.Table, cell_col: str, side: int | None):
-    cell = block[cell_col].to_numpy(zero_copy_only=False)
-    if side is not None:
-        cell = cell[block["side"].to_numpy(zero_copy_only=False) == side]
-    c, n = np.unique(cell, return_counts=True)
-    return c.astype(np.int64), n.astype(np.int64)
-
-
-def _cell_counts(ds, cell_col: str = "cell",
-                 side: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of ``cell_col`` in ``ds`` and their row counts;
-    with ``side`` (0 left, 1 right), only of the tagged rows of that side.
-
-    One plain Ray task per block of ``ds`` counts its cells; the calling
-    process merges the small per-block counts in block order. On a
-    materialized Dataset no Ray Data execution runs; a lazy one executes
-    once, projected to the columns counted. No exchange runs either way,
-    and the calling process holds O(distinct cells) at a time. Returns
-    (cells, counts), both int64, sorted by cell.
-    """
-    from ray.data.dataset import MaterializedDataset
-
-    if not isinstance(ds, MaterializedDataset):
-        ds = ds.select_columns([cell_col] if side is None else [cell_col, "side"])
-    parts = [_count_block_cells.remote(ref, cell_col, side)
-             for bundle in ds.iter_internal_ref_bundles()
-             for ref in bundle.block_refs]
-    cell = np.empty(0, np.int64)
-    n = np.empty(0, np.int64)
-    for part in parts:
-        c, k = ray.get(part)
-        cell, inv = np.unique(np.concatenate([cell, c]), return_inverse=True)
-        merged = np.zeros(len(cell), np.int64)
-        np.add.at(merged, inv, np.concatenate([n, k]))
-        n = merged
-    return cell, n
-
-
 # bytes one tagged left row carries through the exchange: five int64
 # columns, the int8 side and a null WKB (a 4-byte offset)
 _TAGGED_ROW_BYTES = 45
-
-
-def _partition_boundaries(keys, weights, n_parts: int) -> list[int]:
-    """Cut sorted ``keys`` into at most ``n_parts`` contiguous ranges of
-    about equal total ``weight``; returns the key starting each range
-    after the first (empty for one range).
-
-    Each cut sits at the key edge nearest its cumulative-weight quantile,
-    so no range exceeds mean + the largest single key weight. With at
-    least as many parts as keys every key is its own range.
-    """
-    keys = np.asarray(keys, np.int64)
-    if n_parts <= 1 or len(keys) <= 1:
-        return []
-    if n_parts >= len(keys):
-        return keys[1:].tolist()
-    cum = np.concatenate(([0.0], np.cumsum(np.asarray(weights, np.float64))))
-    target = cum[-1] * np.arange(1, n_parts) / n_parts
-    hi = np.searchsorted(cum, target)
-    lo = np.maximum(hi - 1, 0)
-    edge = np.where(cum[hi] - target <= target - cum[lo], hi, lo)
-    edge = np.unique(edge[(edge > 0) & (edge < len(keys))])
-    return keys[edge].tolist()
-
-
-def _partition_loads(keys, weights, boundaries) -> np.ndarray:
-    """Total weight per range of ``_partition_boundaries``' cut."""
-    part = np.searchsorted(np.asarray(boundaries, np.int64), keys, side="right")
-    return np.bincount(part, weights=weights, minlength=len(boundaries) + 1)
-
-
-def _exchange_partitions(est_rows: int, n_keys: int) -> int:
-    """Partition count of a sized exchange: one per session CPU, more when
-    the estimated bytes exceed one Ray block each, at most one per key."""
-    from ray.data import DataContext
-
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    block = DataContext.get_current().target_max_block_size or 128 << 20
-    by_bytes = -(-est_rows * _TAGGED_ROW_BYTES // block)
-    return max(1, min(n_keys, max(cpus, by_bytes)))
 
 
 def _replicate(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,17 +384,17 @@ def sjoin_cell_partitioned(
        right together (``lt.union(rt)``); the histogram, the salting and
        the exchange read these blocks, so each side is read and tagged
        once per query;
-    2. histogram: one Ray task per block counts its left rows per cell
-       and the calling process merges the counts (``_cell_counts`` with
-       ``side=0``, no shuffle);
+    2. histogram: one Ray task per non-empty block counts its left rows
+       per cell and the calling process merges the counts
+       (``exchange.key_counts`` with ``side=0``, no shuffle);
     3. salts and boundaries: cells above the threshold ("urban
        hotspots") are hot. Their left rows will split into ``n_salts``
        sub-keys by a hash of the left id (``_salt_left``) and their right
        rows be replicated to every sub-key (``_salt_right``); the shuffle
        keys, weighted by their left rows, are cut at cumulative-weight
-       quantiles (``_partition_boundaries``) into P partitions: one per
-       session CPU, more when the estimated exchange bytes exceed one
-       Ray block each, at most one per key;
+       quantiles (``exchange.balanced_boundaries``) into P partitions:
+       one per session CPU, more when the estimated exchange bytes
+       exceed one Ray block each, at most one per key;
     4. cut: one Ray task per tagged block salts it (``_salt``), sorts it
        on the shuffle key and cuts it into P slices (``exchange.co_group``
        with ``boundaries`` and ``prepare``; no sort operator, no sample);
@@ -508,15 +429,16 @@ def sjoin_cell_partitioned(
     if salt_threshold is not None:
         # tagged once: the histogram and the exchange read these blocks
         both = both.materialize()
-        cell, n = _cell_counts(both, side=0)  # the skew histogram, no shuffle
+        cell, n = exchange.key_counts(both, "cell", side=0)  # no shuffle
+        cell = cell.to_numpy()
         hot = cell[n > salt_threshold]
         keys, weights = _shuffle_keys(cell, n, hot, n_salts)
-        boundaries = _partition_boundaries(
-            keys, weights, _exchange_partitions(int(n.sum()), len(keys)))
+        n_parts = exchange.n_partitions(int(n.sum()) * _TAGGED_ROW_BYTES, len(keys))
+        boundaries = exchange.balanced_boundaries(keys, weights, n_parts)
         plan.update(est_rows=int(n.sum()), hot_cells=len(hot),
                     partitions=len(boundaries) + 1,
                     max_partition_rows_est=int(np.ceil(
-                        _partition_loads(keys, weights, boundaries).max())))
+                        exchange.partition_loads(keys, weights, boundaries).max())))
         if len(hot):
             prepare = functools.partial(_salt, hot_cells=hot, n_salts=n_salts)
 

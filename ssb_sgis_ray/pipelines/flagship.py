@@ -11,9 +11,12 @@
              write_municipality_data (io/write_municipality_data.py:144-195)
            covering-tile flat-map  raster<->vector assignment
            sink partition key (region x tile sub-block)
-      -> partitioned parquet sink by that key, Arrow groups, atomic
-         per-partition files, checkpoint manifest with per-partition
-         lineage + metrics, exact resume (state/manifest.py)
+      -> partitioned parquet sink by that key (state/manifest.py): the
+         stage output materialized once, rows counted per key, keys cut
+         into one balanced range per CPU, one plain Ray reducer task per
+         range writing its keys side by side; atomic per-partition
+         files, checkpoint manifest with per-partition lineage +
+         metrics, exact resume
 
 The per-image chain runs as plain Ray Data tasks, not an actor pool: no
 actor starts per execution, and the task workers keep their imports
@@ -27,7 +30,7 @@ operators only when their caps are equal, so a capped stage runs behind
 its own (cheap) read operator.
 
 Payload discipline (SURVEY.md §7.5): image ``bytes`` do NOT ride through
-the shuffle — the wide step moves only (image_id, doc_id, region, tile)
+the exchange — the wide step moves only (image_id, doc_id, region, tile)
 projections; the partitioned sink re-joins nothing because the partition
 files are keyed by id and tile only. A consumer needing pixels joins back
 by image_id against the source (Lance take-by-rowid at scale).
@@ -59,8 +62,8 @@ class FusedFlagshipStage:
     constructor) -> covering-tile flat-map, all inside a single
     ``__call__``. ``flagship_task`` builds one per block, so the chain
     runs in one map task per block and never ships the image ``bytes``
-    between operators — the only wide step left in the job is the
-    partitioned-write groupby.
+    between operators — the only wide step left in the job is the sink's
+    sized exchange on ``part_key``.
     """
 
     def __init__(self, regions_ref, copies: int = 1, prebuilt: bool = False):

@@ -11,23 +11,37 @@ Layout:
     out_dir/
       part=<key>/data.parquet      (written atomically: tmp + os.replace)
       _manifest.jsonl              (one row per completed partition)
+      plan_metrics.jsonl           (one sizing row per sink run, state.skew)
 
 Manifest row: {stage, partition, n_rows, n_bytes, input_hash, wall_s,
 path}. Resume contract: a partition is DONE iff its manifest row exists,
 the file exists, and the stored input_hash matches the current input hash
 for that partition — changed inputs invalidate just that partition.
+
+The sink moves rows to their writers on the sized exchange of
+``exchange.co_group``: it counts rows per partition key from the
+materialized input, cuts the sorted keys into ranges of balanced row
+weight, and runs the writer once per key in one plain Ray reducer task
+per range. No Ray Data sort or groupby runs, so the reducers (and the
+writers in them) run side by side as the session's CPUs allow.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
+
+from .. import exchange
+from . import skew
 
 
 def manifest_path(out_dir: str) -> str:
@@ -94,10 +108,11 @@ def partition_input_hash(g, id_col: str) -> str:
 def make_partition_writer(out_dir: str, partition_col: str, id_col: str,
                           stage: str = "partitioned_write",
                           done: dict[str, dict] | None = None):
-    """Group kernel for ``groupby(partition_col).map_groups``: writes one
-    partition atomically and RETURNS its manifest/metrics row (the tiny
-    result Dataset is the lineage record; caller appends it to the
-    manifest file).
+    """Per-key kernel of the sink: called with every row of one
+    ``partition_col`` value (one ``pa.Table``), writes that partition
+    atomically and RETURNS its manifest/metrics row as a one-row table
+    (the lineage record the sink collects). The writer also appends the
+    row to the manifest file itself.
 
     When ``done`` (a loaded manifest) is given, a partition whose stored
     input_hash equals the current group's hash is NOT rewritten — the
@@ -152,17 +167,28 @@ def write_partitioned_resumable(ds, out_dir: str, partition_col: str,
                                 skip_by_key: bool = False):
     """Partitioned parquet sink with exact resume.
 
-    1. load manifest -> completed partitions;
-    2. ``groupby(partition).map_groups(write_one)``: each group's kernel
-       compares its input_hash against the manifest row — matching
-       partitions return the stored row WITHOUT rewriting, changed inputs
-       invalidate just that partition (the documented resume contract);
-    3. workers append their own manifest rows (mid-job kill safe).
+    1. load manifest -> completed partitions; with ``skip_by_key`` drop
+       their keys (see below);
+    2. materialize ``ds`` (its one Ray Data execution) and count its rows
+       per partition key, one task per non-empty block
+       (``exchange.key_counts``);
+    3. cut the sorted keys into P ranges of about equal rows
+       (``exchange.balanced_boundaries``): one per session CPU, more when
+       the bytes exceed one Ray block each, at most one per key; one
+       sizing row goes to ``<out_dir>/plan_metrics.jsonl``
+       (``state.skew.record_plan``);
+    4. the sized ``exchange.co_group`` cuts each block into the P ranges
+       and P reducer tasks call the writer once per key
+       (``exchange.per_key``). The writer compares the partition's
+       input_hash against the manifest row — matching partitions return
+       the stored row WITHOUT rewriting, changed inputs invalidate just
+       that partition (the documented resume contract) — and appends
+       its own manifest row (mid-job kill safe).
 
-    ``skip_by_key=True`` additionally drops completed partition keys
-    BEFORE the shuffle — cheaper (finished partitions never move), but
-    only sound when partition inputs are immutable between runs; the
-    hash check in the kernel still covers everything that remains.
+    ``skip_by_key=True`` drops completed partition keys BEFORE the
+    exchange — cheaper (finished partitions never move), but only sound
+    when partition inputs are immutable between runs; the hash check in
+    the writer still covers everything that remains.
 
     Returns the list of manifest rows for partitions seen this run.
     """
@@ -171,19 +197,48 @@ def write_partitioned_resumable(ds, out_dir: str, partition_col: str,
         done_keys = pa.array(sorted(done), pa.string())
 
         # a key whose Arrow string form differs from str(value) (floats,
-        # bools) is just not dropped here; the kernel's hash check resumes it
+        # bools) is just not dropped here; the writer's hash check resumes it
         def drop_done(batch: pa.Table) -> pa.Table:
             key = pc.cast(batch[partition_col], pa.string())
             return batch.filter(pc.invert(pc.is_in(key, value_set=done_keys)))
 
         ds = ds.map_batches(drop_done, batch_format="pyarrow")
     os.makedirs(out_dir, exist_ok=True)
+    ds = ds.materialize()
+    keys, n = exchange.key_counts(ds, partition_col)
+    codes = np.arange(len(keys))
+    boundaries = exchange.balanced_boundaries(
+        codes, n, exchange.n_partitions(ds.size_bytes(), len(keys)))
+    loads = exchange.partition_loads(codes, n, boundaries)
+    skew.record_plan(out_dir, {"op": stage, "est_rows": int(n.sum()), "keys": len(keys),
+                               "partitions": len(loads),
+                               "max_partition_rows_est": int(loads.max())})
+    if not len(keys):
+        return []
     writer = make_partition_writer(out_dir, partition_col, id_col, stage,
                                    done=done or None)
-    metrics = ds.groupby(partition_col).map_groups(writer, batch_format="pyarrow")
+    kernel = functools.partial(_write_group, writer=writer)
+    metrics = exchange.co_group(
+        ds, _KEY_CODE, exchange.per_key(_KEY_CODE, kernel), boundaries,
+        prepare=functools.partial(_add_key_code, col=partition_col, keys=keys))
     # workers already appended their own manifest rows (mid-job kill safe);
-    # the collected metrics are returned as this run's lineage record
-    return metrics.to_pandas().to_dict("records")
+    # the reducers' metrics rows are returned as this run's lineage record
+    tables = [t for t in ray.get(metrics.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(tables).to_pylist()
+
+
+# the exchange key: a partition key's rank among the sorted keys, so keys
+# of any Arrow type (strings, nulls) cut at int boundaries
+_KEY_CODE = "__part_code"
+
+
+def _add_key_code(block: pa.Table, col: str, keys: pa.Array) -> pa.Table:
+    code = pc.index_in(block[col], value_set=keys, skip_nulls=False)
+    return block.append_column(_KEY_CODE, pc.cast(code, pa.int64()))
+
+
+def _write_group(group: pa.Table, writer) -> pa.Table:
+    return writer(group.drop_columns([_KEY_CODE]))
 
 
 def verify_manifest(out_dir: str) -> dict:

@@ -10,15 +10,16 @@ max / median / p90 / p99 / skew ratio — so the salting threshold
 evidence rather than guessed.
 
 The histogram pass projects ONLY the cell column and counts cells in one
-Ray task per block (``ops.spatial._cell_counts``): no shuffle runs, and
+Ray task per non-empty block (``exchange.key_counts``): no shuffle runs, and
 the calling process merges one small count per block. Enabling
 telemetry still runs one more execution (the salting over the salted
 plan's materialized tagged blocks; both tagging maps when nothing is
 salted), so it is opt-in per run, not always-on.
 
 The same directory gets one plan row per sized exchange in
-``plan_metrics.jsonl`` (estimated rows, hot cells, salts, partitions,
-largest estimated partition), from numbers the plan already computed.
+``plan_metrics.jsonl`` (estimated rows, partitions, largest estimated
+partition; hot cells and salts for the salted join, keys for the
+partitioned sink), from numbers the plan already computed.
 It is a separate file: readers take the last skew row as the summary of
 the latest exchange.
 """
@@ -37,9 +38,9 @@ PLAN_FILE = "plan_metrics.jsonl"
 def cell_skew_summary(tagged_ds, cell_col: str = "cell",
                       stage: str = "") -> dict:
     """One metrics row from a cell-tagged Dataset (pre-groupby)."""
-    from ..ops.spatial import _cell_counts
+    from ..exchange import key_counts
 
-    _, n = _cell_counts(tagged_ds, cell_col)
+    _, n = key_counts(tagged_ds, cell_col)
     if len(n) == 0:
         return {"stage": stage, "n_cells": 0, "rows": 0, "max": 0,
                 "median": 0, "p90": 0, "p99": 0, "skew_ratio": 0.0}

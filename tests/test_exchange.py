@@ -80,12 +80,16 @@ DataContext.get_current().enable_progress_bars = False
 import ray.data as rd
 from ssb_sgis_ray.ops import dedup, spatial
 from ssb_sgis_ray.queries import lineitems, nations_ds
-sf, pairs_path = sys.argv[1], sys.argv[2]
+from ssb_sgis_ray.state import manifest as mf
+sf, pairs_path, sink_dir = sys.argv[1], sys.argv[2], sys.argv[3]
 dedup.SMALL_VERIFY_PAIRS = 0
 def rows(ds, l, r):
     df = ds.to_pandas()
     return sorted(zip(df[l].tolist(), df[r].tolist()))
 out = {
+    "sink": sorted((r["partition"], r["n_rows"], r["input_hash"])
+                   for r in mf.write_partitioned_resumable(
+                       rd.read_parquet(pairs_path).repartition(4), sink_dir, "id_b", "id_a")),
     "distinct": rows(dedup.distinct_pairs(rd.read_parquet(pairs_path).repartition(4)),
                      "id_a", "id_b"),
     "salted": rows(spatial.sjoin_cell_partitioned(
@@ -99,13 +103,14 @@ print(json.dumps(out))
 
 def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeypatch):
     """In a 1-CPU session the distributed pair distinct (a sampled
-    co-group on (id_a, id_b)) and the salted cell join (a task exchange
-    with one sized partition) finish and equal the 4-CPU session's
-    answers."""
+    co-group on (id_a, id_b)), the salted cell join and the partitioned
+    sink (task exchanges with one sized partition) finish and equal the
+    4-CPU session's answers."""
     import ray.data as rd
 
     from ssb_sgis_ray.ops import dedup, spatial
     from ssb_sgis_ray.queries import lineitems, nations_ds
+    from ssb_sgis_ray.state import manifest as mf
 
     rng = np.random.default_rng(7)
     a = rng.integers(0, 300, 30_000)
@@ -121,6 +126,10 @@ def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeyp
 
     monkeypatch.setattr(dedup, "SMALL_VERIFY_PAIRS", 0)
     want = {
+        "sink": sorted((r["partition"], r["n_rows"], r["input_hash"])
+                       for r in mf.write_partitioned_resumable(
+                           rd.read_parquet(path).repartition(4), str(tmp_path / "sink"),
+                           "id_b", "id_a")),
         "distinct": rows(dedup.distinct_pairs(rd.read_parquet(path).repartition(4)),
                          "id_a", "id_b"),
         "salted": rows(spatial.sjoin_cell_partitioned(
@@ -130,10 +139,13 @@ def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeyp
     }
     assert want["distinct"] == sorted(set(zip(lo.tolist(), hi.tolist())))
     assert len(want["salted"]) > 1000
+    assert {p: n for p, n, _ in want["sink"]} == {
+        str(k): int(n) for k, n in zip(*np.unique(hi, return_counts=True))}
 
     env = dict(os.environ, PYTHONPATH=ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU, SF, path], cwd=ROOT, env=env,
+        [sys.executable, "-c", _ONE_CPU, SF, path, str(tmp_path / "sink_1cpu")],
+        cwd=ROOT, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True)
     try:
@@ -147,7 +159,8 @@ def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeyp
     assert got == {k: [list(p) for p in v] for k, v in want.items()}
 
 
-@pytest.mark.parametrize("path", ["ssb_sgis_ray/ops/dedup.py", "ssb_sgis_ray/ops/network.py"])
+@pytest.mark.parametrize("path", ["ssb_sgis_ray/ops/dedup.py", "ssb_sgis_ray/ops/network.py",
+                                  "ssb_sgis_ray/state/manifest.py"])
 def test_no_super_key_groupby(path):
     """These modules exchange through ``co_group`` on their real keys:
     no ``map_groups`` call and no coarse ``super``/``sg``/``cg`` key

@@ -6,7 +6,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from ssb_sgis_ray import synth
+from ssb_sgis_ray import exchange, synth
 from ssb_sgis_ray.geo import kernels, wkb
 from ssb_sgis_ray.ops import dissolve as dis
 from ssb_sgis_ray.ops import knn as knn_ops
@@ -1233,7 +1233,35 @@ def test_salted_cell_join_empty_left(ray_session):
     assert len(got) == 0
 
 
+def test_salted_cell_join_filter_emptied_left(ray_session, tmp_path):
+    """A left side a filter emptied reaches the salted plan as 0-row
+    blocks with no columns: the histogram skips them by their metadata
+    (it raised ``KeyError: 'cell'``), the join returns no pairs, and the
+    skew summary counts the right side's one tagged row."""
+    import ray.data as rd
+
+    from ssb_sgis_ray.state import skew
+
+    left = rd.from_arrow(pa.table({"left_id": pa.array([1], pa.int64()),
+                                   "px": [2.0], "py": [2.0]})).filter(lambda r: False)
+    right = rd.from_arrow(pa.table({
+        "right_id": pa.array([0], pa.int64()),
+        "geometry_wkb": pa.array(synth.diamond_wkb(np.array([0]), np.array([0]),
+                                                   np.array([5])), pa.binary())}))
+    report = str(tmp_path / "report")
+    out = spatial.sjoin_cell_partitioned(left, right, res=9, salt_threshold=1,
+                                         skew_report_dir=report)
+    assert out.count() == 0
+    (plan,) = skew.load_plans(report)
+    assert plan["est_rows"] == 0 and plan["partitions"] == 1
+    (summary,) = skew.load_cell_skew(report)
+    assert (summary["n_cells"], summary["rows"]) == (1, 1)
+
+
 def test_cell_counts_equals_groupby_count(ray_session):
+    """``exchange.key_counts`` equals Ray Data's groupby count on int
+    keys (one block, one key, six materialized blocks); string keys
+    and a null key count too, the null last."""
     import ray.data as rd
     from ray.data.aggregate import Count
 
@@ -1245,17 +1273,22 @@ def test_cell_counts_equals_groupby_count(ray_session):
     multi = rd.from_arrow(blocks).materialize()
     assert multi.num_blocks() == 6
     for ds in (rd.from_arrow(random), rd.from_arrow(single), multi):
-        cell, n = spatial._cell_counts(ds)
+        cell, n = exchange.key_counts(ds, "cell")
         want = (ds.groupby("cell").aggregate(Count(alias_name="n"))
                 .to_pandas().sort_values("cell"))
-        assert cell.dtype == np.int64 and n.dtype == np.int64
-        assert cell.tolist() == want["cell"].tolist()
+        assert cell.type == pa.int64() and n.dtype == np.int64
+        assert cell.to_pylist() == want["cell"].tolist()
         assert n.tolist() == want["n"].tolist()
 
     empty = rd.from_arrow(pa.table({"cell": pa.array([], pa.int64())}))
-    cell, n = spatial._cell_counts(empty)
+    cell, n = exchange.key_counts(empty, "cell")
     assert len(cell) == len(n) == 0
     assert len(empty.groupby("cell").aggregate(Count(alias_name="n")).to_pandas()) == 0
+
+    names = [pa.table({"cell": pa.array(["b", None, "a", "b"])}),
+             pa.table({"cell": pa.array(["c", "a", None, "b"])})]
+    cell, n = exchange.key_counts(rd.from_arrow(names), "cell")
+    assert cell.to_pylist() == ["a", "b", "c", None] and n.tolist() == [2, 3, 1, 2]
 
 
 def test_cell_counts_of_one_side(ray_session):
@@ -1271,11 +1304,11 @@ def test_cell_counts_of_one_side(ray_session):
     both = pa.concat_tables(blocks)
     for ds in (rd.from_arrow(blocks), rd.from_arrow(blocks).materialize()):
         for side in (0, 1):
-            cell, n = spatial._cell_counts(ds, side=side)
+            cell, n = exchange.key_counts(ds, "cell", side=side)
             keep = both["side"].to_numpy() == side
             want_cell, want_n = np.unique(both["cell"].to_numpy()[keep], return_counts=True)
-            assert cell.tolist() == want_cell.tolist() and n.tolist() == want_n.tolist()
-    cell, n = spatial._cell_counts(rd.from_arrow(blocks[:1]), side=1)
+            assert cell.to_pylist() == want_cell.tolist() and n.tolist() == want_n.tolist()
+    cell, n = exchange.key_counts(rd.from_arrow(blocks[:1]), "cell", side=1)
     assert len(cell) == len(n) == 0
 
 

@@ -100,10 +100,10 @@ def test_shuffle_keys_match_the_salted_rows():
 
 
 def _loads(keys, w, n_parts):
-    b = spatial._partition_boundaries(keys, w, n_parts)
+    b = exchange.balanced_boundaries(keys, w, n_parts)
     assert b == sorted(set(b)) and set(b) <= set(np.asarray(keys).tolist())
     assert len(b) + 1 <= max(n_parts, 1)
-    return b, spatial._partition_loads(keys, w, b)
+    return b, exchange.partition_loads(keys, w, b)
 
 
 def _plan_histogram(seed: int, n_cells: int = 120, hot: int = 3, n_salts: int = 8):
@@ -147,7 +147,7 @@ def test_boundaries_edge_cases():
     keys = np.array([-7, 0, 4, 9, 30], np.int64)
     w = np.array([5.0, 1.0, 1.0, 1.0, 1.0])
     # one partition: no boundary (the co-group step handles P = 1)
-    assert spatial._partition_boundaries(keys, w, 1) == []
+    assert exchange.balanced_boundaries(keys, w, 1) == []
     # more partitions than keys: every key its own range
     b, loads = _loads(keys, w, 12)
     assert b == [0, 4, 9, 30] and loads.tolist() == w.tolist()
@@ -159,10 +159,10 @@ def test_boundaries_edge_cases():
     # the quantile than the end of the key list
     b, loads = _loads(keys, np.array([1.0, 1.0, 1.0, 1.0, 100.0]), 2)
     assert b == [30] and loads.tolist() == [4.0, 100.0]
-    assert spatial._partition_boundaries(keys[:1], w[:1], 4) == []
+    assert exchange.balanced_boundaries(keys[:1], w[:1], 4) == []
     # empty histogram
-    assert spatial._partition_boundaries(np.empty(0, np.int64), np.empty(0), 4) == []
-    assert spatial._partition_loads(np.empty(0, np.int64), np.empty(0), []).tolist() == [0.0]
+    assert exchange.balanced_boundaries(np.empty(0, np.int64), np.empty(0), 4) == []
+    assert exchange.partition_loads(np.empty(0, np.int64), np.empty(0), []).tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +336,8 @@ def test_salted_plan_tags_its_left_once(ray_session, tmp_path, monkeypatch):
 
 def test_salted_plan_telemetry_on_the_skew_fixture(ray_session, tmp_path):
     """The sizing row and the post-salting skew summary the salted plan
-    records: the histogram counts left rows only (``_cell_counts`` with
-    ``side=0``), the summary counts every salted row of both sides. Both
+    records: the histogram counts left rows only (``exchange.key_counts``
+    with ``side=0``), the summary counts every salted row of both sides. Both
     equal a numpy evaluation over the collected sides and the values the
     plan recorded when it salted in Ray Data maps (4-CPU session)."""
     import ray.data as rd
@@ -358,7 +358,7 @@ def test_salted_plan_telemetry_on_the_skew_fixture(ray_session, tmp_path):
     cell, n = np.unique(lt["cell"].to_numpy(), return_counts=True)
     hot = cell[n > 500]
     keys, weights = spatial._shuffle_keys(cell, n, hot, 8)
-    bounds = spatial._partition_boundaries(keys, weights, 4)
+    bounds = exchange.balanced_boundaries(keys, weights, 4)
     salted = np.concatenate([spatial._salt_left(lt, hot, 8)["cell"].to_numpy(),
                              spatial._salt_right(rt, hot, 8)["cell"].to_numpy()])
     want = skew.cell_skew_summary(rd.from_arrow(pa.table({"cell": salted})),
@@ -368,7 +368,7 @@ def test_salted_plan_telemetry_on_the_skew_fixture(ray_session, tmp_path):
                                  "max_partition_rows_est")} == {
         "est_rows": len(lt), "hot_cells": len(hot), "partitions": len(bounds) + 1,
         "max_partition_rows_est": int(np.ceil(
-            spatial._partition_loads(keys, weights, bounds).max()))}
+            exchange.partition_loads(keys, weights, bounds).max()))}
     assert summary == want
     assert plan == {"op": "pip_pairs_cell(res=9, salt_threshold=500)", "est_rows": 6000,
                     "hot_cells": 3, "n_salts": 8, "partitions": 4,
