@@ -5,8 +5,10 @@ the reference `ssb-sgis` library — sjoin/sfilter point-in-polygon joins,
 get_k_nearest_neighbors, clean_overlay, buffer-dissolve-explode, grid/tile
 assignment, raster<->vector — re-expressed as Ray Data pipelines:
 `ray.data.Dataset` -> `map_batches` over zero-copy Arrow batches, actor
-pools for stateful stages (spatial indexes, codecs), `groupby`/`map_groups`
-for the wide shuffles.
+pools for stateful stages (spatial indexes, codecs), and the co-group
+exchange (`exchange.co_group`: every row of a key in one Arrow block, one
+kernel call per block) for the wide shuffles; modules not yet moved onto
+it still group with Ray Data's `groupby`.
 
 Layers
 ------

@@ -173,6 +173,43 @@ def cover_bbox(
     return row_idx, cell_from_xy_res(cx, cy, res)
 
 
+def clip_rect(cell: int, res: int) -> np.ndarray:
+    """(minx, miny, maxx, maxy) that ``cell`` clips its cover rows to: the
+    cell's bounds, with each side on the domain's edge pushed out to
+    ±1e12.
+
+    ``cover_bbox`` clamps geometry outside the domain to the edge cells,
+    so an edge cell's rect must reach the exterior or that area vanishes
+    from the partition. Large-finite, not inf: Sutherland-Hodgman
+    intersections with inf produce NaN."""
+    cid = np.asarray([cell], dtype=np.int64)
+    rect = cell_bounds(cid)[0]
+    cx, cy, _ = cell_to_xy(cid)
+    lim = (1 << res) - 1
+    if cx[0] == 0:
+        rect[0] = -1e12
+    if cy[0] == 0:
+        rect[1] = -1e12
+    if cx[0] == lim:
+        rect[2] = 1e12
+    if cy[0] == lim:
+        rect[3] = 1e12
+    return rect
+
+
+def anchored(minx_a, miny_a, minx_b, miny_b, cell: int, res: int) -> np.ndarray:
+    """Mask of the candidate pairs ``cell`` emits by the anchor-cell rule.
+
+    Every pair of cover rows is found in each cell both bboxes cover; only
+    the cell holding the min corner of the two bboxes' intersection emits
+    it, and exactly one cell of both covers holds it, so a cell plan needs
+    no second exchange to dedup its pairs. The anchor depends on the
+    bboxes alone, so unrefined candidates dedup the same way."""
+    ax = np.maximum(minx_a, minx_b)
+    ay = np.maximum(miny_a, miny_b)
+    return xy_to_cell(ax, ay, res) == cell
+
+
 # ---------------------------------------------------------------------------
 # SSB-style grid (reference parity: bounds.py:262-372)
 # ---------------------------------------------------------------------------

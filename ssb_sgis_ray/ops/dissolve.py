@@ -76,70 +76,42 @@ def self_intersect_pairs(table: pa.Table, id_col: str) -> pd.DataFrame:
     return pd.DataFrame({"id_a": ids[qi], "id_b": ids[pi]})
 
 
+_ID_PAIRS = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
+
+
 def self_intersect_pairs_ds(polys_ds, id_col: str, res: int = 8):
     """Distributed self-join intersect pairs via cell co-partitioning.
 
     Each polygon is tagged with every grid cell its bbox covers; pairs are
     found per cell (STRtree + exact refine) and deduplicated WITHOUT a
-    second shuffle by the anchor-cell rule: a pair is emitted only by the
-    cell containing the min-corner of the two bboxes' intersection (every
-    intersecting pair has exactly one such cell in both covers).
+    second shuffle by the anchor-cell rule (``cells.anchored``), one
+    co-group exchange on ``cell`` (``overlay.cell_co_group``).
     Returns a Dataset (id_a, id_b) with id_a < id_b.
     """
     from ..geo import cells
+    from .overlay import cell_co_group
 
-    def tag(batch: pa.Table) -> pa.Table:
-        pg = wkb.decode_polygons(batch["geometry_wkb"])
+    def per_cell(g: pa.Table) -> pa.Table:
+        if g.num_rows < 2:
+            return _ID_PAIRS.empty_table()
+        pg = wkb.decode_polygons(g["geometry_wkb"])
         b = kernels.polygon_bounds(pg)
-        rows, cell = cells.cover_bbox(
-            b[:, 0], b[:, 1], b[:, 2] + 1e-9, b[:, 3] + 1e-9, res
-        )
-        return pa.table(
-            {
-                "cell": pa.array(cell, pa.int64()),
-                "pid": batch[id_col].take(pa.array(rows, pa.int64())).cast(pa.int64()),
-                "minx": pa.array(b[rows, 0]),
-                "miny": pa.array(b[rows, 1]),
-                "geometry_wkb": batch["geometry_wkb"].take(pa.array(rows, pa.int64())),
-            }
-        )
-
-    def per_cell(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"id_a": pd.Series([], dtype="int64"), "id_b": pd.Series([], dtype="int64")}
-        )
-        if len(g) < 2:
-            return empty
-        pg = wkb.decode_polygons(g["geometry_wkb"].to_numpy())
-        b = kernels.polygon_bounds(pg)
-        tree = STRtree(b)
-        qi, pi = tree.query_bbox(b)
+        qi, pi = STRtree(b).query_bbox(b)
         mask = qi < pi
         qi, pi = qi[mask], pi[mask]
-        if len(qi) == 0:
-            return empty
         # anchor-cell dedup before the (more expensive) exact refine
-        ax = np.maximum(g["minx"].to_numpy()[qi], g["minx"].to_numpy()[pi])
-        ay = np.maximum(g["miny"].to_numpy()[qi], g["miny"].to_numpy()[pi])
-        anchor = cells.xy_to_cell(ax, ay, res)
-        here = int(g["cell"].iloc[0])
-        mask = anchor == here
+        minx, miny = g["minx"].to_numpy(), g["miny"].to_numpy()
+        mask = cells.anchored(minx[qi], miny[qi], minx[pi], miny[pi],
+                              g["cell"][0].as_py(), res)
         qi, pi = qi[mask], pi[mask]
         if len(qi) == 0:
-            return empty
+            return _ID_PAIRS.empty_table()
         keep = kernels.polygons_intersect_pairs(pg, pg, qi, pi)
-        qi, pi = qi[keep], pi[keep]
-        ids = g["pid"].to_numpy()
-        a = ids[qi]
-        bb = ids[pi]
-        return pd.DataFrame(
-            {"id_a": np.minimum(a, bb).astype(np.int64),
-             "id_b": np.maximum(a, bb).astype(np.int64)}
-        )
+        ids = g["oid"].to_numpy()
+        a, bb = ids[qi[keep]], ids[pi[keep]]
+        return pa.table([np.minimum(a, bb), np.maximum(a, bb)], schema=_ID_PAIRS)
 
-    return polys_ds.map_batches(tag, batch_format="pyarrow").groupby("cell").map_groups(
-        per_cell, batch_format="pandas"
-    )
+    return cell_co_group(polys_ds, None, id_col, None, res, per_cell)
 
 
 def cluster_labels_ds(

@@ -30,15 +30,19 @@ Unsupported: grid_size snapping (the integer-exact world needs none).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
-from ..geo import booleans, kernels, wkb
+from .. import exchange
+from ..geo import booleans, cells, kernels, wkb
 from ..geo.strtree import STRtree
 
-from ..pool import default_pool
+from ..pool import default_pool, per_batch
 
 HOWS = ("intersection", "union", "identity", "symmetric_difference", "difference", "update")
 
@@ -530,65 +534,50 @@ class OverlayActor:
 class RightPairsEmitter:
     """Stage for the mirrored right leg of union/symmetric_difference
     (overlay.py:426-454 ``_shapely_diffclip_right``): emits one row per
-    matching pair carrying (right_row, left exterior ring) so a
-    ``groupby(right_id)`` can subtract the union of ALL matching left
-    geometries from each right geometry — global state the per-batch
-    actor cannot see."""
+    matching pair carrying (right_row, left geometry) so a co-group on
+    ``right_row`` can subtract the union of ALL matching left geometries
+    from each right geometry — global state the per-batch stage cannot
+    see."""
 
     def __init__(self, right_ref):
-        self.idx_state = None
-        self.right_ref = right_ref
+        self.R = _as_right_geoms(ray.get(right_ref))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.idx_state is None:
-            R = _as_right_geoms(ray.get(self.right_ref))
-            self.idx_state = (R.table, R.rpg, R.tree, R.r_is_rect)
-        right, rpg, tree, r_is_rect = self.idx_state
         lpg = wkb.decode_polygons(batch["geometry_wkb"])
-        l_is_rect = kernels.detect_axis_rects(lpg)
-        lb = kernels.polygon_bounds(lpg)
-        qi, pi = tree.query_bbox(lb)
-        if len(qi):
-            # rect×rect: bbox overlap IS the exact test — skip generic refine
-            both_rect = l_is_rect[qi] & r_is_rect[pi]
-            keep = np.ones(len(qi), dtype=bool)
-            gi = np.nonzero(~both_rect)[0]
-            if len(gi):
-                keep[gi] = kernels.polygons_intersect_pairs(lpg, rpg, qi[gi], pi[gi])
-            qi, pi = qi[keep], pi[keep]
-        left_geom = batch["geometry_wkb"].take(pa.array(qi, pa.int64()))
+        qi, pi = find_candidate_pairs(lpg, kernels.detect_axis_rects(lpg), self.R)
         return pa.table(
             {
                 "right_row": pa.array(pi.astype(np.int64), pa.int64()),
-                "left_geom": left_geom,
+                "left_geom": batch["geometry_wkb"].take(pa.array(qi, pa.int64())),
             }
         )
 
 
 def _right_diff_kernel(right_table: pa.Table):
-    """Group kernel: right row − union(matching left geoms)."""
+    """Per-key kernel over one ``right_row``'s rows: the right row minus
+    the union of its matching left geometries (the non-null
+    ``left_geom``s); a row no left matched keeps its WKB unchanged, and
+    a fully covered row is dropped."""
+    geom_at = right_table.column_names.index("geometry_wkb")
+    geom_type = right_table.schema.field(geom_at).type
 
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        row = int(g["right_row"].iloc[0])
-        rpg = wkb.decode_polygons(right_table["geometry_wkb"].slice(row, 1))
-        lpg = wkb.decode_polygons(g["left_geom"].to_numpy())
-        gwkb = subtract_union_wkb(rpg, 0, lpg, range(len(lpg)))
-        out = {c: [right_table[c][row].as_py()] for c in right_table.column_names
-               if c != "geometry_wkb"}
-        out["geometry_wkb"] = [gwkb]
-        df = pd.DataFrame(out)
-        return df[df["geometry_wkb"].notna()]
+    def fn(g: pa.Table) -> pa.Table:
+        out = right_table.slice(g["right_row"][0].as_py(), 1)
+        partners = g["left_geom"].drop_null()
+        if len(partners):
+            rpg = wkb.decode_polygons(out["geometry_wkb"])
+            lpg = wkb.decode_polygons(partners)
+            gwkb = subtract_union_wkb(rpg, 0, lpg, range(len(lpg)))
+            out = out.set_column(geom_at, "geometry_wkb", pa.array([gwkb], geom_type))
+        return out.filter(out["geometry_wkb"].is_valid())
 
     return fn
-
-
 
 
 def overlay_union_legs(
     left,
     right_table: pa.Table,
     how: str = "union",
-    concurrency: int | tuple | None = None,
     batch_size: int = 512,
 ):
     """union / symmetric_difference / update via composed legs.
@@ -596,18 +585,24 @@ def overlay_union_legs(
     union = intersection ⊎ left-difference ⊎ right-difference legs;
     symmetric_difference drops the intersection leg; update = left
     difference ⊎ untouched right rows (overlay.py:260-307). The
-    right-difference leg shuffles (right_id, matching left geom) pairs and
-    subtracts per right row in ``groupby(right_id).map_groups`` — the only
-    leg that needs global match state. Arbitrary (concave/holed) operands
-    are handled by the boolean engine. Returns a Dataset whose rows carry a
-    ``leg`` column ('inter' | 'left' | 'right') plus the suffixed columns
-    of the participating sides (absent side columns are null).
+    right-difference leg co-groups (right_row, matching left geom) pairs
+    with one null-geometry row per right row on ``right_row`` and
+    subtracts per right row (``_right_diff_kernel``) — the only leg that
+    needs global match state; right rows no left matched ride through
+    unchanged from the same co-group. Arbitrary (concave/holed) operands
+    are handled by the boolean engine. Every stage runs as tasks that
+    build their stage per batch from one prebuilt ``RightGeoms`` ref,
+    so no actor holds a CPU the stages feeding it wait for. Returns a
+    Dataset whose rows carry a ``leg`` column ('inter' | 'left' |
+    'right') plus the suffixed columns of the participating sides
+    (absent side columns are null).
     """
     if how not in ("union", "symmetric_difference", "update"):
         raise ValueError(how)
-    concurrency = default_pool(concurrency)
-    # prebuilt index shared by all three actor pools below (see
-    # _as_right_geoms on why this is built once on the driver)
+    import ray.data as rd
+
+    # prebuilt index shared by every stage below (see _as_right_geoms on
+    # why this is built once on the driver)
     ref = ray.put(RightGeoms(right_table))
 
     left_cols = [c for c in left.schema().names if c != "geometry_wkb"]
@@ -634,89 +629,47 @@ def overlay_union_legs(
     target_types["geometry_wkb"] = pa.binary()
 
     def norm(leg_name: str, rename: dict):
-        def fn(df: pd.DataFrame) -> pa.Table:
-            df = df.rename(columns=rename)
-            arrays = []
-            for c in all_cols:
-                if c == "leg":
-                    arrays.append(pa.array([leg_name] * len(df), pa.string()))
-                elif c in df.columns:
-                    arrays.append(
-                        pa.Array.from_pandas(df[c], type=target_types[c])
-                    )
-                else:
-                    arrays.append(pa.nulls(len(df), target_types[c]))
-            return pa.table(dict(zip(all_cols, arrays)))
+        def fn(b: pa.Table) -> pa.Table:
+            b = b.rename_columns([rename.get(c, c) for c in b.column_names])
+            n = b.num_rows
+            return pa.table({
+                c: pa.array([leg_name] * n, pa.string()) if c == "leg"
+                else b[c].cast(target_types[c]) if c in b.column_names
+                else pa.nulls(n, target_types[c])
+                for c in all_cols
+            })
 
         return fn
 
+    def overlay_leg(leg_how: str, leg_name: str, rename: dict):
+        return left.map_batches(
+            per_batch(OverlayActor, right_ref=ref, how=leg_how),
+            batch_format="pyarrow", batch_size=batch_size,
+        ).map_batches(norm(leg_name, rename), batch_format="pyarrow")
+
     legs = []
     if how == "union":
-        inter = left.map_batches(
-            OverlayActor,
-            fn_constructor_kwargs={"right_ref": ref, "how": "intersection"},
-            batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency,
-        ).map_batches(norm("inter", {}), batch_format="pandas")
-        legs.append(inter)
-    ldiff = left.map_batches(
-        OverlayActor,
-        fn_constructor_kwargs={"right_ref": ref, "how": "difference"},
-        batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency,
-    ).map_batches(norm("left", lmap), batch_format="pandas")
-    legs.append(ldiff)
-    if how in ("union", "symmetric_difference"):
-        import ray.data as rd
-        from ray.data.aggregate import Count
-
+        legs.append(overlay_leg("intersection", "inter", {}))
+    legs.append(overlay_leg("difference", "left", lmap))
+    if how in ("union", "symmetric_difference") and right_table.num_rows:
         pairs = left.map_batches(
-            RightPairsEmitter,
-            fn_constructor_kwargs={"right_ref": ref},
-            batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency,
-        ).materialize()  # consumed twice: grouped subtraction + matched-id scan
-        rdiff = pairs.groupby("right_row").map_groups(
-            _right_diff_kernel(right_table), batch_format="pandas"
-        ).map_batches(norm("right", rmap), batch_format="pandas")
-        legs.append(rdiff)
-        # unmatched right rows ride through with original geometry —
-        # distributed anti-join on right_row (no driver-side id set)
-        right_rows = rd.from_arrow(
-            right_table.append_column(
-                "right_row", pa.array(np.arange(len(right_table)), pa.int64())
-            )
+            per_batch(RightPairsEmitter, right_ref=ref),
+            batch_format="pyarrow", batch_size=batch_size,
         )
-        if pairs.count() == 0:
-            legs.append(
-                right_rows.drop_columns(["right_row"])
-                .map_batches(norm("right", rmap), batch_format="pandas")
-            )
-        else:
-            matched_ids = (
-                pairs.select_columns(["right_row"])
-                .groupby("right_row")
-                .aggregate(Count(alias_name="__m"))
-            )
-            # anti-join: matched right_row ids are bounded by the (already
-            # broadcast-bounded) right table, so a broadcast membership
-            # filter replaces the hash-join exchange (ops/lookup.py)
-            from .lookup import membership_filter
-
-            um = membership_filter(
-                right_rows, matched_ids, "right_row", anti=True,
-            ).map_batches(
-                lambda b: b.drop_columns(["right_row"]),
-                batch_format="pyarrow",
-            )
-            legs.append(um.map_batches(norm("right", rmap), batch_format="pandas"))
+        n = right_table.num_rows
+        own = rd.from_arrow(pa.table({
+            "right_row": pa.array(np.arange(n), pa.int64()),
+            "left_geom": pa.nulls(n, pa.binary()),
+        }))
+        legs.append(exchange.co_group(
+            pairs.union(own), "right_row",
+            exchange.per_key("right_row", _right_diff_kernel(right_table)),
+        ).map_batches(norm("right", rmap), batch_format="pyarrow"))
     if how == "update":
-        import ray.data as rd
-
         # ALL right rows ride through unchanged (overlay.py:260-263) — as a
         # streamed Dataset, not a driver-side pandas materialization
-        legs.append(
-            rd.from_arrow(right_table).map_batches(
-                norm("right", rmap), batch_format="pandas"
-            )
-        )
+        legs.append(rd.from_arrow(right_table).map_batches(
+            norm("right", rmap), batch_format="pyarrow"))
     out = legs[0]
     for l in legs[1:]:
         out = out.union(l)
@@ -765,8 +718,7 @@ def clean_overlay(
     # accepts all six hows through one call, overlay.py:70-81); the internal
     # 'leg' marker is dropped so the surface matches the other hows
     return overlay_union_legs(
-        left, right_table, how=how, concurrency=concurrency,
-        batch_size=batch_size,
+        left, right_table, how=how, batch_size=batch_size,
     ).drop_columns(["leg"])
 
 
@@ -778,126 +730,123 @@ def clean_overlay(
 # the two datasets by covering grid cell (the reference's own gridloop
 # pattern, /root/reference/src/sgis/geopandas_tools/bounds.py:16-173, made
 # distributed): each polygon is replicated to every cell its bbox overlaps,
-# a groupby(cell) co-groups both sides, and pairs are deduplicated WITHOUT
-# a second shuffle by the anchor-cell rule (a pair is emitted only by the
-# cell containing the min-corner of the two bboxes' intersection — exactly
-# the rule proven by self_intersect_pairs_ds, ops/dissolve.py:77-140).
+# one co-group exchange on ``cell`` (``cell_co_group``) hands each cell's
+# rows of both sides to one kernel call, and pairs are deduplicated
+# WITHOUT a second shuffle by the anchor-cell rule (``cells.anchored``).
 # ---------------------------------------------------------------------------
 
 
-def _tag_overlay_side(batch: pa.Table, res: int, id_col: str, side: int) -> pa.Table:
-    """One side -> (cell, side, oid, minx, miny, geometry_wkb) cover rows."""
-    from ..geo import cells
-
+def _tag_overlay_side(batch: pa.Table, res: int, id_col: str, side: int,
+                      bbox: bool = False) -> pa.Table:
+    """One side -> (cell, side, oid, minx, miny, geometry_wkb) cover rows,
+    one per cell the row's bbox covers; ``bbox`` adds (maxx, maxy, rect),
+    the full bbox and the axis-rect flag."""
     pg = wkb.decode_polygons(batch["geometry_wkb"])
     b = kernels.polygon_bounds(pg)
     # +1e-9: footprints are closed sets — a bbox whose max edge lies exactly
     # on a cell boundary can still touch the next cell (same padding as
-    # _tag_polys_with_cells / self_intersect_pairs_ds)
+    # _tag_polys_with_cells)
     rows, cell = cells.cover_bbox(b[:, 0], b[:, 1], b[:, 2] + 1e-9, b[:, 3] + 1e-9, res)
     take = pa.array(rows, pa.int64())
-    return pa.table(
-        {
-            "cell": pa.array(cell, pa.int64()),
-            "side": pa.array(np.full(len(rows), side, dtype=np.int8)),
-            "oid": batch[id_col].take(take).cast(pa.int64()),
-            "minx": pa.array(b[rows, 0], pa.float64()),
-            "miny": pa.array(b[rows, 1], pa.float64()),
-            "geometry_wkb": batch["geometry_wkb"].take(take),
-        }
-    )
+    cols = {
+        "cell": pa.array(cell, pa.int64()),
+        "side": pa.array(np.full(len(rows), side, dtype=np.int8)),
+        "oid": batch[id_col].take(take).cast(pa.int64()),
+        "minx": pa.array(b[rows, 0], pa.float64()),
+        "miny": pa.array(b[rows, 1], pa.float64()),
+    }
+    if bbox:
+        cols["maxx"] = pa.array(b[rows, 2], pa.float64())
+        cols["maxy"] = pa.array(b[rows, 3], pa.float64())
+        cols["rect"] = pa.array(kernels.detect_axis_rects(pg)[rows].astype(np.int8))
+    cols["geometry_wkb"] = batch["geometry_wkb"].take(take)
+    return pa.table(cols)
+
+
+def _tag_cells(left_ds, right_ds, left_id: str, right_id: str | None,
+               res: int, bbox: bool = False):
+    """Both sides' cover rows in one lazy Dataset: the left's with side 0,
+    the right's with side 1; ``right_ds=None`` tags the left only."""
+    both = None
+    for side, (ds, id_col) in enumerate(((left_ds, left_id), (right_ds, right_id))):
+        if ds is None:
+            continue
+        tagged = ds.map_batches(
+            functools.partial(_tag_overlay_side, res=res, id_col=id_col,
+                              side=side, bbox=bbox),
+            batch_format="pyarrow")
+        both = tagged if both is None else both.union(tagged)
+    return both
+
+
+def cell_co_group(left_ds, right_ds, left_id: str, right_id: str | None,
+                  res: int, kernel, bbox: bool = False):
+    """The cell plans' one exchange: ``_tag_cells``' cover rows
+    co-grouped on ``cell``, with ``kernel`` called once per cell on a
+    ``pa.Table`` holding every cover row of that cell. Returns a lazy
+    Dataset of the kernel outputs, which must share one schema."""
+    return exchange.co_group(_tag_cells(left_ds, right_ds, left_id, right_id, res, bbox),
+                             "cell", exchange.per_key("cell", kernel))
+
+
+def _sides(g: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """A cell's cover rows split by one mask into (left rows, right rows)."""
+    is_left = pa.array(g["side"].to_numpy() == 0)
+    return g.filter(is_left), g.filter(pc.invert(is_left))
+
+
+def _cell_of(g: pa.Table) -> int:
+    return g["cell"][0].as_py()
+
+
+def _anchored(l: pa.Table, r: pa.Table, qi: np.ndarray, pi: np.ndarray,
+              cell: int, res: int) -> np.ndarray:
+    """``cells.anchored`` over candidate pairs (qi into l, pi into r)."""
+    return cells.anchored(l["minx"].to_numpy()[qi], l["miny"].to_numpy()[qi],
+                          r["minx"].to_numpy()[pi], r["miny"].to_numpy()[pi],
+                          cell, res)
+
+
+_IDS = [("left_id", pa.int64()), ("right_id", pa.int64())]
+_PIECES = pa.schema(_IDS + [("geometry_wkb", pa.binary())])
+_PIECE_AREAS = pa.schema(_IDS + [("piece_area", pa.float64())])
+_PAIR_GEOMS = pa.schema(_IDS + [("left_geom", pa.binary()), ("right_geom", pa.binary())])
 
 
 def _cell_overlay_kernel(how: str, emit: str, res: int):
-    """Per-cell group kernel: STRtree pairs + anchor dedup + tiered math."""
-    from ..geo import cells
+    """Per-cell kernel: STRtree pairs + anchor dedup + tiered math.
 
+    ``how="intersection"`` emits (left_id, right_id, piece_area |
+    geometry_wkb) pieces; ``how="difference"`` emits the matched pairs
+    with BOTH geometries (``_PAIR_GEOMS``): the subtraction needs the
+    union of ALL matching rights per left row, which may live in
+    different cells, so it runs in a second co-group on ``left_id``."""
     area_only = emit == "area"
+    schema = (_PAIR_GEOMS if how == "difference"
+              else _PIECE_AREAS if area_only else _PIECES)
 
-    def empty_frame():
-        if how == "intersection":
-            cols = {
-                "left_id": pa.array([], pa.int64()),
-                "right_id": pa.array([], pa.int64()),
-            }
-            if area_only:
-                cols["piece_area"] = pa.array([], pa.float64())
-            else:
-                cols["geometry_wkb"] = pa.array([], pa.binary())
-            return pa.table(cols)
-        # typed Arrow empty: pandas object-column empties defeat Ray's
-        # block size estimator (a noisy np.vectorize error per block) and
-        # can ride along schema-less into downstream joins
-        return pa.table(
-            {
-                "left_id": pa.array([], pa.int64()),
-                "right_id": pa.array([], pa.int64()),
-                "left_geom": pa.array([], pa.binary()),
-                "right_geom": pa.array([], pa.binary()),
-            }
-        )
-
-    def per_cell(g: pd.DataFrame) -> pd.DataFrame:
-        l = g[g["side"] == 0]
-        r = g[g["side"] == 1]
-        if len(l) == 0 or len(r) == 0:
-            return empty_frame()
-        lpg = wkb.decode_polygons(l["geometry_wkb"].to_numpy())
-        R = RightGeoms(
-            pa.table({"geometry_wkb": pa.array(list(r["geometry_wkb"]), pa.binary())})
-        )
+    def per_cell(g: pa.Table) -> pa.Table:
+        l, r = _sides(g)
+        if not l.num_rows or not r.num_rows:
+            return schema.empty_table()
+        lpg = wkb.decode_polygons(l["geometry_wkb"])
+        R = RightGeoms(r)
         l_is_rect = kernels.detect_axis_rects(lpg)
         l_decomp = kernels.decompose_rectilinear(lpg)
         qi, pi = find_candidate_pairs(lpg, l_is_rect, R, l_decomp[2])
-        if len(qi) == 0:
-            return empty_frame()
-        # anchor-cell dedup: only the cell containing the min-corner of the
-        # two bboxes' intersection emits the pair (exactly one such cell is
-        # in both covers). Anchor is a pure function of the bboxes, so
-        # even unrefined rect/rlin candidates dedup consistently.
-        ax = np.maximum(l["minx"].to_numpy()[qi], r["minx"].to_numpy()[pi])
-        ay = np.maximum(l["miny"].to_numpy()[qi], r["miny"].to_numpy()[pi])
-        anchor = cells.xy_to_cell(ax, ay, res)
-        m = anchor == int(g["cell"].iloc[0])
+        m = _anchored(l, r, qi, pi, _cell_of(g), res)
         qi, pi = qi[m], pi[m]
         if len(qi) == 0:
-            return empty_frame()
-        lids = l["oid"].to_numpy().astype(np.int64)
-        rids = r["oid"].to_numpy().astype(np.int64)
-        if how == "intersection":
-            lbounds = kernels.polygon_bounds(lpg)
-            li, ri, areas, geoms = intersection_pieces(
-                lpg, lbounds, l_decomp, l_is_rect, R, qi, pi, area_only
-            )
-            # zero-copy Arrow emit: pandas block-manager copies dominate
-            # multi-million-row cell outputs (same lesson as the broadcast
-            # actor's area path)
-            cols = {
-                "left_id": pa.array(lids[li], pa.int64()),
-                "right_id": pa.array(rids[ri], pa.int64()),
-            }
-            if area_only:
-                cols["piece_area"] = pa.array(areas, pa.float64())
-            else:
-                cols["geometry_wkb"] = pa.array(geoms, pa.binary())
-            return pa.table(cols)
-        # difference: emit matched pairs with BOTH geometries; the actual
-        # subtraction needs the union of ALL matching rights per left row,
-        # which may live in different cells -> second stage groupby(left_id).
-        # Arrow binary columns (not pandas object) so the big pair
-        # exchange ships typed buffers, not pickled object arrays.
-        return pa.table(
-            {
-                "left_id": pa.array(lids[qi], pa.int64()),
-                "right_id": pa.array(rids[pi], pa.int64()),
-                "left_geom": pa.array(
-                    l["geometry_wkb"].to_numpy()[qi].tolist(), pa.binary()
-                ),
-                "right_geom": pa.array(
-                    r["geometry_wkb"].to_numpy()[pi].tolist(), pa.binary()
-                ),
-            }
+            return schema.empty_table()
+        lids, rids = l["oid"].to_numpy(), r["oid"].to_numpy()
+        if how == "difference":
+            return pa.table([lids[qi], rids[pi], l["geometry_wkb"].take(qi),
+                             r["geometry_wkb"].take(pi)], schema=schema)
+        li, ri, areas, geoms = intersection_pieces(
+            lpg, kernels.polygon_bounds(lpg), l_decomp, l_is_rect, R, qi, pi, area_only
         )
+        return pa.table([lids[li], rids[ri], areas if area_only else geoms],
+                        schema=schema)
 
     return per_cell
 
@@ -919,13 +868,6 @@ def overlay_pairs_cell(
     narrow. Result rows are identical to the broadcast
     ``clean_overlay(how='intersection')`` path on the same inputs.
     """
-    lt = left_ds.map_batches(
-        lambda b: _tag_overlay_side(b, res, left_id, 0), batch_format="pyarrow"
-    )
-    rt = right_ds.map_batches(
-        lambda b: _tag_overlay_side(b, res, right_id, 1), batch_format="pyarrow"
-    )
-    both = lt.union(rt)
     if skew_report_dir is not None:
         # straggler telemetry (state.skew): per-cell histogram summary so
         # the cell res / salting threshold is tuned from evidence
@@ -934,13 +876,10 @@ def overlay_pairs_cell(
         skew_mod.record_cell_skew(
             skew_report_dir,
             skew_mod.cell_skew_summary(
-                both, stage=f"overlay_pairs_cell(res={res}, emit={emit})"))
-    return (
-        both
-        .groupby("cell")
-        .map_groups(_cell_overlay_kernel("intersection", emit, res),
-                    batch_format="pandas")
-    )
+                _tag_cells(left_ds, right_ds, left_id, right_id, res),
+                stage=f"overlay_pairs_cell(res={res}, emit={emit})"))
+    return cell_co_group(left_ds, right_ds, left_id, right_id, res,
+                         _cell_overlay_kernel("intersection", emit, res))
 
 
 # survivor count below which the filtered left side is broadcast whole
@@ -974,27 +913,42 @@ def _broadcast_survivor_pairs(left_small_ds, right_ds, left_id: str,
     lgeom = lt["geometry_wkb"].to_numpy(zero_copy_only=False)
     ref = ray.put((tree, lids, lgeom))
 
-    class MatchSurvivors:
-        def __init__(self):
-            self.tree, self.lids, self.lgeom = ray.get(ref)
+    def match_survivors(batch: pa.Table) -> pa.Table:
+        tree, lids, lgeom = ray.get(ref)
+        rpg = wkb.decode_polygons(batch["geometry_wkb"])
+        qi, ii = tree.query_bbox(kernels.polygon_bounds(rpg))
+        take = pa.array(qi, pa.int64())
+        return pa.table(
+            {
+                "left_id": pa.array(lids[ii], pa.int64()),
+                "left_geom": pa.array(lgeom[ii], pa.binary()),
+                "right_id": batch[right_id].take(take).cast(pa.int64()),
+                "right_geom": batch["geometry_wkb"].take(take),
+            }
+        )
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            rpg = wkb.decode_polygons(batch["geometry_wkb"])
-            qi, ii = self.tree.query_bbox(kernels.polygon_bounds(rpg))
-            take = pa.array(qi, pa.int64())
-            return pa.table(
-                {
-                    "left_id": pa.array(self.lids[ii], pa.int64()),
-                    "left_geom": pa.array(self.lgeom[ii], pa.binary()),
-                    "right_id": batch[right_id].take(take).cast(pa.int64()),
-                    "right_geom": batch["geometry_wkb"].take(take),
-                }
-            )
+    # a task stage: an actor here would hold the CPU that the right
+    # side's read tasks wait for in a 1-CPU session
+    return right_ds.map_batches(match_survivors, batch_format="pyarrow",
+                                batch_size=8192)
 
-    return right_ds.map_batches(
-        MatchSurvivors, batch_format="pyarrow",
-        concurrency=default_pool(), batch_size=8192,
-    )
+
+def _subtract_partners(g: pa.Table) -> pa.Table:
+    """Per-key kernel over one left's pair rows -> (__lid, diff_geom,
+    has_diff): its geometry minus the union of its partners'.
+
+    The fully covered row stays, with a null diff_geom: the join-back
+    must tell "matched and consumed" from "never matched" (pass-through).
+    has_diff is the match marker — Ray's join drops the right_on key
+    column, and diff_geom alone is null for covered rows."""
+    spg = wkb.decode_polygons(g["left_geom"].slice(0, 1))
+    cpg = wkb.decode_polygons(g["right_geom"])
+    return pa.table({
+        "__lid": g["left_id"].slice(0, 1),
+        "diff_geom": pa.array([subtract_union_wkb(spg, 0, cpg, range(len(cpg)))],
+                              pa.binary()),
+        "has_diff": pa.array([1], pa.int64()),
+    })
 
 
 def overlay_difference_cell(
@@ -1010,17 +964,18 @@ def overlay_difference_cell(
     every intersecting right row.
 
     Three fully-distributed stages:
-    1. cell co-group emits matched (left_id, right_id, left_geom,
-       right_geom) pairs with anchor-cell dedup (skipped when a
-       precomputed ``pairs`` Dataset is passed — clean_overlay_cell shares
-       ONE cell exchange across legs);
-    2. ``groupby(left_id)`` subtracts the union of all matched rights from
-       each left geometry (tiered math, holes preserved);
+    1. matched (left_id, right_id, left_geom, right_geom) pairs: the
+       survivor pre-filter keeps only lefts with a remainder, then either
+       one streaming pass over the rights against the broadcast survivors
+       or, past ``DIFF_SURVIVOR_BROADCAST_LIMIT``, the cell co-group with
+       anchor-cell dedup (all skipped when a precomputed ``pairs``
+       Dataset is passed — clean_overlay_cell shares ONE cell exchange
+       across legs);
+    2. a co-group on ``left_id`` subtracts the union of all matched
+       rights from each left geometry (tiered math, holes preserved);
     3. hash left-outer join back to ``left_ds``: unmatched rows pass
        through with their original geometry, fully-covered rows drop.
     """
-    import pyarrow.compute as pc
-
     from .dissolve import default_join_partitions
 
     if pairs is None:
@@ -1039,50 +994,25 @@ def overlay_difference_cell(
         left_ds = membership_filter(
             left_ds, survivors, left_id, small_key="left_id",
         ).materialize()
-        if left_ds.count() <= DIFF_SURVIVOR_BROADCAST_LIMIT:
+        n_left = left_ds.count()
+        if n_left == 0:  # nothing survives (or the left is empty)
+            return left_ds
+        if n_left <= DIFF_SURVIVOR_BROADCAST_LIMIT:
             # few survivors: broadcast them, stream the rights ONCE —
             # the second cell exchange and the pair shuffle disappear
             pairs = _broadcast_survivor_pairs(
                 left_ds, right_ds, left_id, right_id
             )
         else:
-            lt = left_ds.map_batches(
-                lambda b: _tag_overlay_side(b, res, left_id, 0),
-                batch_format="pyarrow",
-            )
-            rt = right_ds.map_batches(
-                lambda b: _tag_overlay_side(b, res, right_id, 1),
-                batch_format="pyarrow",
-            )
-            pairs = (
-                lt.union(rt)
-                .groupby("cell")
-                .map_groups(_cell_overlay_kernel("difference", "geometry", res),
-                            batch_format="pandas")
-            )
+            pairs = cell_pair_table(left_ds, right_ds, left_id, right_id, res)
 
-    def diff_group(g: pd.DataFrame) -> pd.DataFrame:
-        spg = wkb.decode_polygons(
-            np.asarray([g["left_geom"].iloc[0]], dtype=object)
-        )
-        cpg = wkb.decode_polygons(g["right_geom"].to_numpy())
-        gwkb = subtract_union_wkb(spg, 0, cpg, range(len(cpg)))
-        # keep the fully-covered (None) row: the join-back must distinguish
-        # "matched and consumed" from "never matched" (pass-through).
-        # has_diff is the match marker — Ray's join drops the right_on key
-        # column, and diff_geom alone is null for covered rows.
-        return pd.DataFrame(
-            {"__lid": [int(g["left_id"].iloc[0])], "diff_geom": [gwkb],
-             "has_diff": [np.int64(1)]}
-        )
-
-    # an empty hash partition leaves map_groups emitting a 0-row block with
-    # an EMPTY schema (no columns at all); Dataset.join then can't find
-    # __lid in that block's partition. map_batches skips 0-row blocks, so a
+    # co_group's empty sort partitions are 0-row blocks with an EMPTY
+    # schema (no columns at all); Dataset.join then can't find __lid in
+    # that block's partition. map_batches skips 0-row blocks, so a
     # schema-fix stage never sees them — repartition instead: the block
     # coalesce (no hash exchange) merges empties into typed blocks.
-    rem = pairs.groupby("left_id").map_groups(
-        diff_group, batch_format="pandas"
+    rem = exchange.co_group(
+        pairs, "left_id", exchange.per_key("left_id", _subtract_partners)
     ).repartition(default_join_partitions(num_partitions)).materialize()
     if rem.count() == 0:  # no intersecting pair anywhere: left unchanged
         return left_ds
@@ -1570,15 +1500,6 @@ def clean_overlay_cell(
     if how not in HOWS:
         raise ValueError(f"how must be one of {HOWS}")
 
-    def norm_pairs(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "left_id": b["left_id"].cast(pa.int64()),
-                "right_id": b["right_id"].cast(pa.int64()),
-                "geometry_wkb": b["geometry_wkb"],
-            }
-        )
-
     def norm_one_side(id_col: str, is_left: bool):
         def fn(b: pa.Table) -> pa.Table:
             n = len(b)
@@ -1598,7 +1519,7 @@ def clean_overlay_cell(
     if how == "intersection":
         return overlay_pairs_cell(
             left_ds, right_ds, left_id, right_id, res=res, emit="geometry"
-        ).map_batches(norm_pairs, batch_format="pyarrow")
+        )
     if how == "difference":
         return overlay_difference_cell(
             left_ds, right_ds, left_id, right_id, res=res
@@ -1609,21 +1530,13 @@ def clean_overlay_cell(
     # both geometries) — the naive composition re-shuffled both full
     # datasets once per leg. Tradeoff: the pair table lives in the object
     # store (spillable) instead of being recomputed.
-    pairs = cell_pair_table(left_ds, right_ds, left_id, right_id, res)
+    pairs = cell_pair_table(left_ds, right_ds, left_id, right_id, res).materialize()
 
-    def inter_from_pairs(b: pd.DataFrame) -> pa.Table:
-        if len(b) == 0:
-            return pa.table(
-                {
-                    "left_id": pa.array([], pa.int64()),
-                    "right_id": pa.array([], pa.int64()),
-                    "geometry_wkb": pa.array([], pa.binary()),
-                }
-            )
-        lpg = wkb.decode_polygons(b["left_geom"].to_numpy())
-        R = RightGeoms(
-            pa.table({"geometry_wkb": pa.array(list(b["right_geom"]), pa.binary())})
-        )
+    def inter_from_pairs(b: pa.Table) -> pa.Table:
+        if not b.num_rows:
+            return _PIECES.empty_table()
+        lpg = wkb.decode_polygons(b["left_geom"])
+        R = RightGeoms(pa.table({"geometry_wkb": b["right_geom"]}))
         idx = np.arange(len(lpg))
         li, ri, _, geoms = intersection_pieces(
             lpg,
@@ -1635,18 +1548,11 @@ def clean_overlay_cell(
             idx,
             area_only=False,
         )
-        lids = b["left_id"].to_numpy().astype(np.int64)
-        rids = b["right_id"].to_numpy().astype(np.int64)
-        return pa.table(
-            {
-                "left_id": pa.array(lids[li], pa.int64()),
-                "right_id": pa.array(rids[ri], pa.int64()),
-                "geometry_wkb": pa.array(geoms, pa.binary()),
-            }
-        )
+        return pa.table([b["left_id"].take(li), b["right_id"].take(ri), geoms],
+                        schema=_PIECES)
 
     def inter():
-        return pairs.map_batches(inter_from_pairs, batch_format="pandas")
+        return pairs.map_batches(inter_from_pairs, batch_format="pyarrow")
 
     def ldiff():
         return overlay_difference_cell(
@@ -1672,22 +1578,11 @@ def clean_overlay_cell(
 
 
 def cell_pair_table(left_ds, right_ds, left_id: str, right_id: str, res: int):
-    """ONE cell co-group exchange -> materialized matched-pair table
-    (left_id, right_id, left_geom, right_geom), anchor-cell deduped.
-    Every multi-leg cell-plan consumer derives its legs from this."""
-    lt = left_ds.map_batches(
-        lambda b: _tag_overlay_side(b, res, left_id, 0), batch_format="pyarrow"
-    )
-    rt = right_ds.map_batches(
-        lambda b: _tag_overlay_side(b, res, right_id, 1), batch_format="pyarrow"
-    )
-    return (
-        lt.union(rt)
-        .groupby("cell")
-        .map_groups(_cell_overlay_kernel("difference", "geometry", res),
-                    batch_format="pandas")
-        .materialize()
-    )
+    """ONE cell co-group exchange -> lazy matched-pair table (left_id,
+    right_id, left_geom, right_geom), anchor-cell deduped. Every
+    multi-leg cell-plan consumer derives its legs from this."""
+    return cell_co_group(left_ds, right_ds, left_id, right_id, res,
+                         _cell_overlay_kernel("difference", "geometry", res))
 
 
 def swap_pair_table(pairs):
@@ -1734,17 +1629,8 @@ def overlay_union_leg_areas_cell(
     """
     if how not in ("union", "symmetric_difference"):
         raise ValueError(how)
-    lt = left_ds.map_batches(
-        lambda b: _tag_overlay_side(b, res, left_id, 0), batch_format="pyarrow"
-    )
-    rt = right_ds.map_batches(
-        lambda b: _tag_overlay_side(b, res, right_id, 1), batch_format="pyarrow"
-    )
-    return (
-        lt.union(rt)
-        .groupby("cell")
-        .map_groups(_cell_union_areas_kernel(how, res), batch_format="pandas")
-    )
+    return cell_co_group(left_ds, right_ds, left_id, right_id, res,
+                         _cell_union_areas_kernel(how, res))
 
 
 def _clip_rows_to_rect_wkb(pg: wkb.PolygonArray, rect: np.ndarray,
@@ -1799,96 +1685,60 @@ def _clip_rows_to_rect_wkb(pg: wkb.PolygonArray, rect: np.ndarray,
     return out
 
 
+def _clip_to_rect(pg: wkb.PolygonArray, rect: np.ndarray, decomp):
+    """Rows of ``pg`` clipped to ``rect``: (mask of the rows whose clip is
+    not empty, those clipped rows decoded)."""
+    rects, offs, rlin = decomp
+    cw = _clip_rows_to_rect_wkb(pg, rect, rlin, rects, offs)
+    keep = np.array([w is not None for w in cw], dtype=bool)
+    return keep, wkb.decode_polygons(np.asarray([w for w in cw if w is not None],
+                                                dtype=object))
+
+
+def _remainder_areas(pg: wkb.PolygonArray, other: RightGeoms | None) -> np.ndarray:
+    """area(row − union(the rows of ``other`` it meets)) per row of ``pg``;
+    the full area where there is no ``other``."""
+    if other is None:
+        return kernels.polygon_areas(pg)
+    decomp = kernels.decompose_rectilinear(pg)
+    qi, pi = find_candidate_pairs(pg, kernels.detect_axis_rects(pg), other, decomp[2])
+    return difference_areas(pg, other, qi, pi, decomp)
+
+
 def _cell_union_areas_kernel(how: str, res: int):
     """Per-cell kernel for the union/symmetric_difference AREA legs: up to
     three (leg, area_i) partial rows per cell, no downstream exchange."""
-    from ..geo import cells
 
-    def empty():
-        return pa.table(
-            {"leg": pa.array([], pa.string()), "area_i": pa.array([], pa.int64())}
-        )
-
-    def rem_partial(spg, sb, s_rlin, s_rects, s_offs, rect, other_R):
+    def remainder(S: RightGeoms, other: RightGeoms | None, rect) -> int:
         """sum of area((row ∩ rect) − union(candidate partners))."""
-        cw = _clip_rows_to_rect_wkb(spg, rect, s_rlin, s_rects, s_offs)
-        keep = np.array([w is not None for w in cw], dtype=bool)
+        keep, clipped = _clip_to_rect(S.rpg, rect, (S.r_rects, S.r_offs, S.r_rlin))
         if not keep.any():
             return 0
-        spg_c = wkb.decode_polygons(
-            np.asarray([w for w in cw if w is not None], dtype=object)
-        )
-        if other_R is None:
-            return int(np.round(kernels.polygon_areas(spg_c)).sum())
-        decomp = kernels.decompose_rectilinear(spg_c)
-        qi, pi = find_candidate_pairs(
-            spg_c, kernels.detect_axis_rects(spg_c), other_R, decomp[2]
-        )
-        d = difference_areas(spg_c, other_R, qi, pi, decomp)
-        return int(np.round(d).sum())
+        return int(np.round(_remainder_areas(clipped, other)).sum())
 
-    def per_cell(g: pd.DataFrame) -> pa.Table:
-        if not len(g):
-            return empty()
-        cell_id = np.asarray([int(g["cell"].iloc[0])], dtype=np.int64)
-        rect = cells.cell_bounds(cell_id)[0].copy()
-        # cover_bbox clamps out-of-domain geometry to the edge cells, so
-        # the edge cells' clip rects must extend to the exterior or that
-        # area silently vanishes from the partition (found by the
-        # cell-clip additivity Hypothesis test). Large-finite, not inf:
-        # Sutherland-Hodgman intersections with inf produce NaN.
-        cx, cy, rr = cells.cell_to_xy(cell_id)
-        lim = (1 << res) - 1
-        big = np.float64(1e12)
-        if int(cx[0]) == 0:
-            rect[0] = -big
-        if int(cy[0]) == 0:
-            rect[1] = -big
-        if int(cx[0]) == lim:
-            rect[2] = big
-        if int(cy[0]) == lim:
-            rect[3] = big
-        l = g[g["side"] == 0]
-        r = g[g["side"] == 1]
+    def per_cell(g: pa.Table) -> pa.Table:
+        cell = _cell_of(g)
+        l, r = _sides(g)
+        L = RightGeoms(l) if l.num_rows else None
+        R = RightGeoms(r) if r.num_rows else None
         legs: list[str] = []
         areas: list[int] = []
-        lpg = (wkb.decode_polygons(l["geometry_wkb"].to_numpy())
-               if len(l) else None)
-        rpg = (wkb.decode_polygons(r["geometry_wkb"].to_numpy())
-               if len(r) else None)
-        L = (RightGeoms(pa.table({"geometry_wkb": pa.array(
-            list(l["geometry_wkb"]), pa.binary())})) if len(l) else None)
-        R = (RightGeoms(pa.table({"geometry_wkb": pa.array(
-            list(r["geometry_wkb"]), pa.binary())})) if len(r) else None)
-        if how == "union" and lpg is not None and rpg is not None:
-            l_is_rect = kernels.detect_axis_rects(lpg)
-            l_decomp = kernels.decompose_rectilinear(lpg)
-            qi, pi = find_candidate_pairs(lpg, l_is_rect, R, l_decomp[2])
+        if how == "union" and L is not None and R is not None:
+            qi, pi = find_candidate_pairs(L.rpg, L.r_is_rect, R, L.r_rlin)
+            m = _anchored(l, r, qi, pi, cell, res)
+            qi, pi = qi[m], pi[m]
             if len(qi):
-                # anchor-cell dedup: pairwise piece areas are emitted by
-                # exactly one cell (the one containing the min-corner of
-                # the bbox intersection)
-                ax = np.maximum(l["minx"].to_numpy()[qi], r["minx"].to_numpy()[pi])
-                ay = np.maximum(l["miny"].to_numpy()[qi], r["miny"].to_numpy()[pi])
-                m = cells.xy_to_cell(ax, ay, res) == int(cell_id[0])
-                qi, pi = qi[m], pi[m]
-            if len(qi):
-                lb = kernels.polygon_bounds(lpg)
                 _, _, pareas, _ = intersection_pieces(
-                    lpg, lb, l_decomp, l_is_rect, R, qi, pi, True
+                    L.rpg, L.rbounds, (L.r_rects, L.r_offs, L.r_rlin), L.r_is_rect,
+                    R, qi, pi, True
                 )
                 legs.append("inter")
                 areas.append(int(np.round(np.asarray(pareas)).sum()))
-        if lpg is not None:
-            s_rects, s_offs, s_rlin = kernels.decompose_rectilinear(lpg)
-            legs.append("left")
-            areas.append(rem_partial(lpg, None, s_rlin, s_rects, s_offs, rect, R))
-        if rpg is not None:
-            s_rects, s_offs, s_rlin = kernels.decompose_rectilinear(rpg)
-            legs.append("right")
-            areas.append(rem_partial(rpg, None, s_rlin, s_rects, s_offs, rect, L))
-        if not legs:
-            return empty()
+        rect = cells.clip_rect(cell, res)
+        for leg, S, other in (("left", L, R), ("right", R, L)):
+            if S is not None:
+                legs.append(leg)
+                areas.append(remainder(S, other, rect))
         return pa.table(
             {"leg": pa.array(legs, pa.string()),
              "area_i": pa.array(areas, pa.int64())}
@@ -1897,29 +1747,69 @@ def _cell_union_areas_kernel(how: str, res: int):
     return per_cell
 
 
-def _tag_survivor_side(batch: pa.Table, res: int, id_col: str, side: int) -> pa.Table:
-    """_tag_overlay_side plus (maxx, maxy, rect): the survivor kernel's
-    covered-cell fast path needs full bboxes and the axis-rect flag."""
-    from ..geo import cells
+_SURVIVOR_PARTIALS = pa.schema([("left_id", pa.int64()), ("rem", pa.float64()),
+                                ("clip", pa.float64()), ("matched", pa.int64())])
 
-    pg = wkb.decode_polygons(batch["geometry_wkb"])
-    b = kernels.polygon_bounds(pg)
-    is_rect = kernels.detect_axis_rects(pg)
-    rows, cell = cells.cover_bbox(b[:, 0], b[:, 1], b[:, 2] + 1e-9, b[:, 3] + 1e-9, res)
-    take = pa.array(rows, pa.int64())
-    return pa.table(
-        {
-            "cell": pa.array(cell, pa.int64()),
-            "side": pa.array(np.full(len(rows), side, dtype=np.int8)),
-            "oid": batch[id_col].take(take).cast(pa.int64()),
-            "minx": pa.array(b[rows, 0], pa.float64()),
-            "miny": pa.array(b[rows, 1], pa.float64()),
-            "maxx": pa.array(b[rows, 2], pa.float64()),
-            "maxy": pa.array(b[rows, 3], pa.float64()),
-            "rect": pa.array(is_rect[rows].astype(np.int8)),
-            "geometry_wkb": batch["geometry_wkb"].take(take),
-        }
-    )
+
+def _survivor_partials(res: int):
+    """Per-cell kernel of ``_diff_survivor_ids``: one (left_id, rem, clip,
+    matched) row per left cover row of the cell."""
+
+    def per_cell(g: pa.Table) -> pa.Table:
+        l, r = _sides(g)
+        n = l.num_rows
+        if not n:
+            return _SURVIVOR_PARTIALS.empty_table()
+        rect = cells.clip_rect(_cell_of(g), res)
+        lb = np.stack([l[c].to_numpy() for c in ("minx", "miny", "maxx", "maxy")], axis=1)
+        l_rect = l["rect"].to_numpy() == 1
+        covered = bool(np.any(
+            (r["rect"].to_numpy() == 1)
+            & (r["minx"].to_numpy() <= rect[0]) & (r["miny"].to_numpy() <= rect[1])
+            & (r["maxx"].to_numpy() >= rect[2]) & (r["maxy"].to_numpy() >= rect[3])
+        ))
+        rem = np.zeros(n, dtype=np.float64)
+        clip = np.zeros(n, dtype=np.float64)
+        matched = np.zeros(n, dtype=np.int64)
+        # covered cell: rect lefts' clip areas are closed-form interval
+        # overlaps; only the (rare) non-rect lefts need real geometry
+        exact = ~l_rect if covered else np.ones(n, dtype=bool)
+        if covered:
+            w = np.minimum(lb[:, 2], rect[2]) - np.maximum(lb[:, 0], rect[0])
+            h = np.minimum(lb[:, 3], rect[3]) - np.maximum(lb[:, 1], rect[1])
+            clip[l_rect] = (np.maximum(w, 0.0) * np.maximum(h, 0.0))[l_rect]
+            matched[:] = 1
+        if exact.any():
+            lpg = wkb.decode_polygons(l["geometry_wkb"].filter(pa.array(exact)))
+            decomp = kernels.decompose_rectilinear(lpg)
+            R = RightGeoms(r) if r.num_rows else None
+            m = np.zeros(len(lpg), dtype=np.int64)
+            if R is not None:
+                qi, _ = find_candidate_pairs(lpg, kernels.detect_axis_rects(lpg), R,
+                                             decomp[2])
+                m[np.unique(qi)] = 1
+            matched[exact] = m
+            keep, clipped = _clip_to_rect(lpg, rect, decomp)
+            c = np.zeros(len(lpg), dtype=np.float64)
+            if keep.any():
+                c[keep] = kernels.polygon_areas(clipped)
+            clip[exact] = c
+            if not covered and keep.any():  # (exact is every row here)
+                rem[keep] = _remainder_areas(clipped, R)
+        return pa.table([l["oid"], rem, clip, matched], schema=_SURVIVOR_PARTIALS)
+
+    return per_cell
+
+
+def _survivor_ids(b: pa.Table) -> pa.Table:
+    """Block kernel on ``left_id``: the ids whose partials sum to a
+    remainder, plus zero-area lefts that were never matched."""
+    t = b.group_by("left_id").aggregate(
+        [("rem", "sum"), ("clip", "sum"), ("matched", "max")])
+    keep = pc.or_(
+        pc.greater(t["rem_sum"], 1e-6),
+        pc.and_(pc.less_equal(t["clip_sum"], 1e-6), pc.equal(t["matched_max"], 0)))
+    return t.select(["left_id"]).filter(keep)
 
 
 def _diff_survivor_ids(left_ds, right_ds, left_id: str, right_id: str, res: int):
@@ -1931,8 +1821,9 @@ def _diff_survivor_ids(left_ds, right_ds, left_id: str, right_id: str, res: int)
     math), the clipped area itself, and whether the left had any matched
     pair candidate in the cell (computed on the UNCLIPPED geometry with
     the same candidate test as the pair kernel, so max-over-cells equals
-    membership in the pair table). One narrow int64-keyed groupby sums
-    the partials; no geometry ever leaves the cell kernel.
+    membership in the pair table). A second, narrow co-group on
+    ``left_id`` sums the partials; no geometry ever leaves the cell
+    kernel.
 
     Covered-cell fast path: if some axis-rect right's bbox contains the
     whole cell rect, every left's cell-clipped remainder is 0 (clip ⊆
@@ -1943,150 +1834,6 @@ def _diff_survivor_ids(left_ds, right_ds, left_id: str, right_id: str, res: int)
     overlaps — no decode, no per-cell STRtree, no scanline. In
     dense-coverage data nearly every interior cell takes this path.
     """
-    from ..geo import cells
-    from ray.data.aggregate import Max, Sum
-
-    def per_cell(g: pd.DataFrame) -> pa.Table:
-        l = g[g["side"] == 0]
-        if not len(l):
-            return pa.table(
-                {"left_id": pa.array([], pa.int64()),
-                 "rem": pa.array([], pa.float64()),
-                 "clip": pa.array([], pa.float64()),
-                 "matched": pa.array([], pa.int64())}
-            )
-        r = g[g["side"] == 1]
-        cell_id = np.asarray([int(g["cell"].iloc[0])], dtype=np.int64)
-        rect = cells.cell_bounds(cell_id)[0].copy()
-        cx, cy, _ = cells.cell_to_xy(cell_id)
-        lim = (1 << res) - 1
-        big = np.float64(1e12)
-        if int(cx[0]) == 0:
-            rect[0] = -big
-        if int(cy[0]) == 0:
-            rect[1] = -big
-        if int(cx[0]) == lim:
-            rect[2] = big
-        if int(cy[0]) == lim:
-            rect[3] = big
-        lids = l["oid"].to_numpy().astype(np.int64)
-        n = len(l)
-
-        covered = False
-        if len(r):
-            rr = r["rect"].to_numpy() == 1
-            if rr.any():
-                covered = bool(np.any(
-                    rr
-                    & (r["minx"].to_numpy() <= rect[0])
-                    & (r["miny"].to_numpy() <= rect[1])
-                    & (r["maxx"].to_numpy() >= rect[2])
-                    & (r["maxy"].to_numpy() >= rect[3])
-                ))
-        if covered:
-            clip_a = np.zeros(n, dtype=np.float64)
-            matched = np.ones(n, dtype=np.int64)
-            l_rect = l["rect"].to_numpy() == 1
-            w = np.minimum(l["maxx"].to_numpy(), rect[2]) - np.maximum(
-                l["minx"].to_numpy(), rect[0]
-            )
-            h = np.minimum(l["maxy"].to_numpy(), rect[3]) - np.maximum(
-                l["miny"].to_numpy(), rect[1]
-            )
-            ov = np.maximum(w, 0.0) * np.maximum(h, 0.0)
-            clip_a[l_rect] = ov[l_rect]
-            sub = ~l_rect
-            if sub.any():
-                # exact path for the (rare) non-rect lefts: their clip
-                # area and candidate test need real geometry
-                lpg = wkb.decode_polygons(l["geometry_wkb"].to_numpy()[sub])
-                R = RightGeoms(pa.table(
-                    {"geometry_wkb": pa.array(list(r["geometry_wkb"]), pa.binary())}
-                ))
-                dec = kernels.decompose_rectilinear(lpg)
-                qi_f, _pi_f = find_candidate_pairs(
-                    lpg, kernels.detect_axis_rects(lpg), R, dec[2]
-                )
-                m_sub = np.zeros(len(lpg), dtype=np.int64)
-                m_sub[np.unique(qi_f)] = 1
-                matched[sub] = m_sub
-                cw = _clip_rows_to_rect_wkb(lpg, rect, dec[2], dec[0], dec[1])
-                keep = np.array([x is not None for x in cw], dtype=bool)
-                c_sub = np.zeros(len(lpg), dtype=np.float64)
-                if keep.any():
-                    spg_c = wkb.decode_polygons(
-                        np.asarray([x for x in cw if x is not None], dtype=object)
-                    )
-                    c_sub[keep] = kernels.polygon_areas(spg_c)
-                clip_a[sub] = c_sub
-            return pa.table(
-                {"left_id": pa.array(lids, pa.int64()),
-                 "rem": pa.array(np.zeros(n), pa.float64()),
-                 "clip": pa.array(clip_a, pa.float64()),
-                 "matched": pa.array(matched, pa.int64())}
-            )
-
-        lpg = wkb.decode_polygons(l["geometry_wkb"].to_numpy())
-        matched = np.zeros(n, dtype=np.int64)
-        R = None
-        if len(r):
-            R = RightGeoms(pa.table(
-                {"geometry_wkb": pa.array(list(r["geometry_wkb"]), pa.binary())}
-            ))
-            l_decomp_full = kernels.decompose_rectilinear(lpg)
-            qi_f, _pi_f = find_candidate_pairs(
-                lpg, kernels.detect_axis_rects(lpg), R, l_decomp_full[2]
-            )
-            matched[np.unique(qi_f)] = 1
-        s_rects, s_offs, s_rlin = kernels.decompose_rectilinear(lpg)
-        cw = _clip_rows_to_rect_wkb(lpg, rect, s_rlin, s_rects, s_offs)
-        keep = np.array([w is not None for w in cw], dtype=bool)
-        clip_a = np.zeros(n, dtype=np.float64)
-        rem = np.zeros(n, dtype=np.float64)
-        if keep.any():
-            spg_c = wkb.decode_polygons(
-                np.asarray([w for w in cw if w is not None], dtype=object)
-            )
-            areas_c = kernels.polygon_areas(spg_c)
-            clip_a[keep] = areas_c
-            if R is None:
-                rem[keep] = areas_c
-            else:
-                decomp_c = kernels.decompose_rectilinear(spg_c)
-                qi, pi = find_candidate_pairs(
-                    spg_c, kernels.detect_axis_rects(spg_c), R, decomp_c[2]
-                )
-                rem[keep] = difference_areas(spg_c, R, qi, pi, decomp_c)
-        return pa.table(
-            {"left_id": pa.array(lids, pa.int64()),
-             "rem": pa.array(rem, pa.float64()),
-             "clip": pa.array(clip_a, pa.float64()),
-             "matched": pa.array(matched, pa.int64())}
-        )
-
-    lt = left_ds.map_batches(
-        lambda b: _tag_survivor_side(b, res, left_id, 0), batch_format="pyarrow"
-    )
-    rt = right_ds.map_batches(
-        lambda b: _tag_survivor_side(b, res, right_id, 1), batch_format="pyarrow"
-    )
-    totals = (
-        lt.union(rt)
-        .groupby("cell")
-        .map_groups(per_cell, batch_format="pandas")
-        .groupby("left_id")
-        .aggregate(Sum(on="rem", alias_name="rem_sum"),
-                   Sum(on="clip", alias_name="clip_sum"),
-                   Max(on="matched", alias_name="matched_max"))
-    )
-
-    def pick(b: pa.Table) -> pa.Table:
-        rs = b["rem_sum"].to_numpy(zero_copy_only=False)
-        cs = b["clip_sum"].to_numpy(zero_copy_only=False)
-        mm = b["matched_max"].to_numpy(zero_copy_only=False)
-        keep = (rs > 1e-6) | ((cs <= 1e-6) & (mm == 0))
-        return pa.table(
-            {"left_id": b["left_id"].filter(pa.array(keep)).cast(pa.int64())}
-        )
-
-    return totals.map_batches(pick, batch_format="pyarrow")
+    partials = cell_co_group(left_ds, right_ds, left_id, right_id, res,
+                             _survivor_partials(res), bbox=True)
+    return exchange.co_group(partials, "left_id", _survivor_ids)

@@ -52,6 +52,17 @@ def default_pool(concurrency=None, nrows=None, batch_size=None):
 SMALL_TASK_BATCHES = 4
 
 
+def per_batch(cls, **kwargs):
+    """A task-stage callable for a stage class: builds ``cls(**kwargs)``
+    for each batch and calls it. For classes whose ``__init__`` is cheap
+    (a ``ray.get`` of a prebuilt broadcast index): a task stage holds no
+    CPU between batches, so it cannot starve the tasks that feed it."""
+    def fn(batch):
+        return cls(**kwargs)(batch)
+
+    return fn
+
+
 def broadcast_map_batches(ds, cls, *, fn_constructor_kwargs, batch_size,
                           batch_format="pyarrow", concurrency=None,
                           nrows=None, **kw):
@@ -74,11 +85,8 @@ def broadcast_map_batches(ds, cls, *, fn_constructor_kwargs, batch_size,
          and -(-int(nrows) // int(batch_size)) <= SMALL_TASK_BATCHES)
         or pool_cap() < 1
     ):
-        def fn(batch):
-            return cls(**fn_constructor_kwargs)(batch)
-
-        return ds.map_batches(fn, batch_size=batch_size,
-                              batch_format=batch_format, **kw)
+        return ds.map_batches(per_batch(cls, **fn_constructor_kwargs),
+                              batch_size=batch_size, batch_format=batch_format, **kw)
     return ds.map_batches(
         cls, fn_constructor_kwargs=fn_constructor_kwargs,
         batch_size=batch_size, batch_format=batch_format,

@@ -568,7 +568,7 @@ def q_overlay_inter_cell(sf_dir: str):
 
 def q_overlay_diff_cell(sf_dir: str):
     """Co-partitioned large×large difference: per-cell matched pairs →
-    groupby(left_id) subtract-union → join-back (unmatched rows pass
+    co-group on left_id subtract-union → join-back (unmatched rows pass
     through). Same oracle as overlay_difference_area."""
     out = overlay_ops.overlay_difference_cell(
         parts(sf_dir), orders_ds(sf_dir), "p_partkey", "o_orderkey", res=10

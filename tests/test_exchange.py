@@ -77,16 +77,32 @@ import ray
 ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-import ray.data as rd
-from ssb_sgis_ray.ops import dedup, spatial
-from ssb_sgis_ray.queries import lineitems, nations_ds
+import numpy as np, pyarrow as pa, ray.data as rd
+from ssb_sgis_ray.geo import wkb
+from ssb_sgis_ray.ops import dedup, overlay, spatial
+from ssb_sgis_ray.queries import lineitems, nations_ds, orders_ds, parts
 from ssb_sgis_ray.state import manifest as mf
 sf, pairs_path, sink_dir = sys.argv[1], sys.argv[2], sys.argv[3]
 dedup.SMALL_VERIFY_PAIRS = 0
-def rows(ds, l, r):
+def rows(ds, *cols):
     df = ds.to_pandas()
-    return sorted(zip(df[l].tolist(), df[r].tolist()))
+    return sorted(zip(*(df[c].tolist() for c in cols)))
+def boxes(specs, key):
+    return pa.table({key: pa.array(range(len(specs)), pa.int64()),
+                     "geometry_wkb": wkb.encode_boxes_arrow(np.array(specs, float))})
+def legs(ds):
+    return sorted(([r["leg"], r["lid"], r["rid"], r["geometry_wkb"].hex()]
+                   for r in ds.take_all()), key=json.dumps)
 out = {
+    "overlay_cell": rows(overlay.overlay_pairs_cell(
+        parts(sf), orders_ds(sf), "p_partkey", "o_orderkey", res=10, emit="area"),
+        "left_id", "right_id", "piece_area"),
+    "union_legs": legs(overlay.overlay_union_legs(
+        rd.from_arrow(boxes([(0, 0, 10, 10), (20, 0, 30, 10)], "lid")),
+        boxes([(5, 0, 25, 10)], "rid"))),
+    "survivor_pairs": rows(overlay._broadcast_survivor_pairs(
+        parts(sf).limit(50).materialize(), orders_ds(sf), "p_partkey", "o_orderkey"),
+        "left_id", "right_id"),
     "sink": sorted((r["partition"], r["n_rows"], r["input_hash"])
                    for r in mf.write_partitioned_resumable(
                        rd.read_parquet(pairs_path).repartition(4), sink_dir, "id_b", "id_a")),
@@ -103,13 +119,16 @@ print(json.dumps(out))
 
 def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeypatch):
     """In a 1-CPU session the distributed pair distinct (a sampled
-    co-group on (id_a, id_b)), the salted cell join and the partitioned
-    sink (task exchanges with one sized partition) finish and equal the
-    4-CPU session's answers."""
+    co-group on (id_a, id_b)), the salted cell join, the partitioned
+    sink (task exchanges with one sized partition), the cell overlay (a
+    sampled co-group on cell), the overlay union legs (task stages and a
+    co-group on the right row) and the difference's survivor pair stage
+    (a task stage) finish and equal the 4-CPU session's answers."""
     import ray.data as rd
 
-    from ssb_sgis_ray.ops import dedup, spatial
-    from ssb_sgis_ray.queries import lineitems, nations_ds
+    from ssb_sgis_ray.geo import wkb
+    from ssb_sgis_ray.ops import dedup, overlay, spatial
+    from ssb_sgis_ray.queries import lineitems, nations_ds, orders_ds, parts
     from ssb_sgis_ray.state import manifest as mf
 
     rng = np.random.default_rng(7)
@@ -120,12 +139,29 @@ def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeyp
     path = str(tmp_path / "pairs.parquet")
     pq.write_table(pa.table({"id_a": lo, "id_b": hi}), path)
 
-    def rows(ds, left, right):
+    def rows(ds, *cols):
         df = ds.to_pandas()
-        return sorted(zip(df[left].tolist(), df[right].tolist()))
+        return sorted(zip(*(df[c].tolist() for c in cols)))
+
+    def boxes(specs, key):
+        return pa.table({key: pa.array(range(len(specs)), pa.int64()),
+                         "geometry_wkb": wkb.encode_boxes_arrow(np.array(specs, float))})
+
+    def legs(ds):
+        return sorted(([r["leg"], r["lid"], r["rid"], r["geometry_wkb"].hex()]
+                       for r in ds.take_all()), key=json.dumps)
 
     monkeypatch.setattr(dedup, "SMALL_VERIFY_PAIRS", 0)
     want = {
+        "overlay_cell": rows(overlay.overlay_pairs_cell(
+            parts(SF), orders_ds(SF), "p_partkey", "o_orderkey", res=10, emit="area"),
+            "left_id", "right_id", "piece_area"),
+        "union_legs": legs(overlay.overlay_union_legs(
+            rd.from_arrow(boxes([(0, 0, 10, 10), (20, 0, 30, 10)], "lid")),
+            boxes([(5, 0, 25, 10)], "rid"))),
+        "survivor_pairs": rows(overlay._broadcast_survivor_pairs(
+            parts(SF).limit(50).materialize(), orders_ds(SF), "p_partkey", "o_orderkey"),
+            "left_id", "right_id"),
         "sink": sorted((r["partition"], r["n_rows"], r["input_hash"])
                        for r in mf.write_partitioned_resumable(
                            rd.read_parquet(path).repartition(4), str(tmp_path / "sink"),
@@ -139,6 +175,11 @@ def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeyp
     }
     assert want["distinct"] == sorted(set(zip(lo.tolist(), hi.tolist())))
     assert len(want["salted"]) > 1000
+    assert len(want["overlay_cell"]) > 1000
+    assert len(want["survivor_pairs"]) > 100
+    assert [leg[:3] for leg in want["union_legs"]] == [
+        ["inter", 0, 0], ["inter", 1, 0], ["left", 0, None], ["left", 1, None],
+        ["right", None, 0]]
     assert {p: n for p, n, _ in want["sink"]} == {
         str(k): int(n) for k, n in zip(*np.unique(hi, return_counts=True))}
 
@@ -160,6 +201,7 @@ def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("path", ["ssb_sgis_ray/ops/dedup.py", "ssb_sgis_ray/ops/network.py",
+                                  "ssb_sgis_ray/ops/overlay.py",
                                   "ssb_sgis_ray/state/manifest.py"])
 def test_no_super_key_groupby(path):
     """These modules exchange through ``co_group`` on their real keys:

@@ -755,7 +755,8 @@ def test_union_leg_areas_empty_left(ray_session):
 def test_cell_difference_and_union_with_empty_right(ray_session):
     """Empty right side: difference passes every left through unchanged
     (incl. the survivor pre-filter path), and the union-area legs reduce
-    to the left areas."""
+    to the left areas. Empty left side: difference is empty and the
+    union-area legs reduce to the right areas."""
     import ray.data as rd
 
     from ssb_sgis_ray.geo import wkb as W
@@ -787,6 +788,27 @@ def test_cell_difference_and_union_with_empty_right(ray_session):
     by = dict(zip(t["leg"].to_pylist(), t["total_area"].to_pylist()))
     assert by.get("left") == 100 * 50 + 200 * 400
     assert "right" not in by and "inter" not in by
+
+    # empty left (typed 0-row, and emptied by a filter) against one
+    # overlapping right box: no difference rows, and the union legs
+    # reduce to the right's area
+    right = rd.from_arrow(pa.table({
+        "rid": pa.array([7], pa.int64()),
+        "geometry_wkb": pa.array([W.encode_polygon([rings[0]])], pa.binary()),
+    }))
+    typed = rd.from_arrow(pa.table({
+        "lid": pa.array([], pa.int64()),
+        "geometry_wkb": pa.array([], pa.binary()),
+    }))
+    for no_left in (typed, left.filter(lambda r: False)):
+        assert ov.overlay_difference_cell(no_left, right, "lid", "rid", res=8).count() == 0
+        assert ov.clean_overlay_cell(no_left, right, "lid", "rid",
+                                     how="difference", res=8).count() == 0
+        legs = ov.overlay_union_leg_areas_cell(no_left, right, "lid", "rid",
+                                               how="union", res=8)
+        t = rel.sum_by_small_key(legs, "leg", "area_i", ("inter", "left", "right"))
+        assert dict(zip(t["leg"].to_pylist(), t["total_area"].to_pylist())) == {
+            "right": 100 * 50}
 
 
 def test_difference_cell_broadcast_and_cell_pair_plans_agree(ray_session, monkeypatch):

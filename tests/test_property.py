@@ -204,21 +204,7 @@ def test_cell_clip_partition_additivity(seed, n, res):
     )
     acc = np.zeros(len(pg))
     for c in np.unique(cell):
-        cid = np.asarray([c], dtype=np.int64)
-        rect = cells.cell_bounds(cid)[0].copy()
-        # same edge-cell widening as _cell_union_areas_kernel: cover_bbox
-        # clamps out-of-domain geometry to edge cells, whose clip rects
-        # must therefore extend to the exterior
-        cx, cy, _ = cells.cell_to_xy(cid)
-        lim = (1 << res) - 1
-        if int(cx[0]) == 0:
-            rect[0] = -1e12
-        if int(cy[0]) == 0:
-            rect[1] = -1e12
-        if int(cx[0]) == lim:
-            rect[2] = 1e12
-        if int(cy[0]) == lim:
-            rect[3] = 1e12
+        rect = cells.clip_rect(c, res)  # the cell plans' clip rect
         rsel = rows[cell == c]
         sub = W.decode_polygons(np.asarray(
             [blobs[i] for i in rsel], dtype=object))
