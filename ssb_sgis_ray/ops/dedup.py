@@ -858,12 +858,11 @@ def _video_set_collapse(g: pa.Table) -> pa.Table:
     nfu = g["nfu"].to_numpy().astype(np.int64)
     order = np.lexsort((fh, d, sig))
     sig, d, fh, nfu = sig[order], d[order], fh[order], nfu[order]
-    new_sig = np.concatenate([[True], sig[1:] != sig[:-1]])
-    sig_run = np.cumsum(new_sig) - 1
-    rep = d[new_sig][sig_run]  # min doc_id of each sig run, broadcast
-    new_vid = new_sig | np.concatenate([[True], d[1:] != d[:-1]])
+    starts, ends = runs(sig)
+    rep = np.repeat(d[starts], ends - starts)  # min doc_id of each sig run
+    new_vid = runs(sig, d)[0]
     is_rep = d == rep
-    n_m, n_r = int(new_vid.sum()), int(is_rep.sum())
+    n_m, n_r = len(new_vid), int(is_rep.sum())
     return pa.table({
         "kind": pa.array(np.concatenate(
             [np.zeros(n_m, np.int8), np.ones(n_r, np.int8)]), pa.int8()),
@@ -1103,7 +1102,7 @@ def _collapsed_video_clusters(videos_ds, concurrency=None,
         rep_frames = hashed.map_batches(pick_rep_frames, batch_format="pyarrow")
         return rd.from_arrow(members_tbl), rep_frames
     # -- distributed collapse (corpus too large for the driver merge) -------
-    u = co_group(hashed, "sig", _video_set_collapse).materialize()
+    u = co_group(hashed, "sig", _video_set_collapse)
 
     def pick(kind: int, drop: list):
         def f(b: pa.Table) -> pa.Table:
@@ -1686,7 +1685,7 @@ def keep_best_per_cluster(labels_ds, quality_ds, id_col: str = "doc_id",
         lab = g["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.lexsort((d, -s, lab))
         lab_s = lab[idx]
-        first = np.concatenate([[True], lab_s[1:] != lab_s[:-1]])
+        first = runs(lab_s)[0]
         ulab = lab_s[first]
         keep_of = d[idx][first]
         return pa.table({

@@ -562,6 +562,8 @@ def _right_diff_kernel(right_table: pa.Table):
     geom_type = right_table.schema.field(geom_at).type
 
     def fn(g: pa.Table) -> pa.Table:
+        if not g.num_rows:  # a partition no right row reached
+            return right_table.slice(0, 0)
         out = right_table.slice(g["right_row"][0].as_py(), 1)
         partners = g["left_geom"].drop_null()
         if len(partners):
@@ -783,8 +785,9 @@ def cell_co_group(left_ds, right_ds, left_id: str, right_id: str | None,
                   res: int, kernel, bbox: bool = False):
     """The cell plans' one exchange: ``_tag_cells``' cover rows
     co-grouped on ``cell``, with ``kernel`` called once per cell on a
-    ``pa.Table`` holding every cover row of that cell. Returns a lazy
-    Dataset of the kernel outputs, which must share one schema."""
+    ``pa.Table`` holding every cover row of that cell. Returns a
+    materialized Dataset of the kernel outputs, which must share one
+    schema."""
     return exchange.co_group(_tag_cells(left_ds, right_ds, left_id, right_id, res, bbox),
                              "cell", exchange.per_key("cell", kernel))
 
@@ -941,6 +944,9 @@ def _subtract_partners(g: pa.Table) -> pa.Table:
     must tell "matched and consumed" from "never matched" (pass-through).
     has_diff is the match marker — Ray's join drops the right_on key
     column, and diff_geom alone is null for covered rows."""
+    if not g.num_rows:  # a partition no pair reached
+        return pa.table({"__lid": g["left_id"], "diff_geom": pa.array([], pa.binary()),
+                         "has_diff": pa.array([], pa.int64())})
     spg = wkb.decode_polygons(g["left_geom"].slice(0, 1))
     cpg = wkb.decode_polygons(g["right_geom"])
     return pa.table({
@@ -1006,14 +1012,8 @@ def overlay_difference_cell(
         else:
             pairs = cell_pair_table(left_ds, right_ds, left_id, right_id, res)
 
-    # co_group's empty sort partitions are 0-row blocks with an EMPTY
-    # schema (no columns at all); Dataset.join then can't find __lid in
-    # that block's partition. map_batches skips 0-row blocks, so a
-    # schema-fix stage never sees them — repartition instead: the block
-    # coalesce (no hash exchange) merges empties into typed blocks.
     rem = exchange.co_group(
-        pairs, "left_id", exchange.per_key("left_id", _subtract_partners)
-    ).repartition(default_join_partitions(num_partitions)).materialize()
+        pairs, "left_id", exchange.per_key("left_id", _subtract_partners))
     if rem.count() == 0:  # no intersecting pair anywhere: left unchanged
         return left_ds
     joined = left_ds.join(
@@ -1530,7 +1530,7 @@ def clean_overlay_cell(
     # both geometries) — the naive composition re-shuffled both full
     # datasets once per leg. Tradeoff: the pair table lives in the object
     # store (spillable) instead of being recomputed.
-    pairs = cell_pair_table(left_ds, right_ds, left_id, right_id, res).materialize()
+    pairs = cell_pair_table(left_ds, right_ds, left_id, right_id, res)
 
     def inter_from_pairs(b: pa.Table) -> pa.Table:
         if not b.num_rows:
@@ -1578,7 +1578,7 @@ def clean_overlay_cell(
 
 
 def cell_pair_table(left_ds, right_ds, left_id: str, right_id: str, res: int):
-    """ONE cell co-group exchange -> lazy matched-pair table (left_id,
+    """ONE cell co-group exchange -> materialized matched-pair table (left_id,
     right_id, left_geom, right_geom), anchor-cell deduped. Every
     multi-leg cell-plan consumer derives its legs from this."""
     return cell_co_group(left_ds, right_ds, left_id, right_id, res,
@@ -1717,6 +1717,9 @@ def _cell_union_areas_kernel(how: str, res: int):
         return int(np.round(_remainder_areas(clipped, other)).sum())
 
     def per_cell(g: pa.Table) -> pa.Table:
+        if not g.num_rows:  # a partition no cell reached
+            return pa.table({"leg": pa.array([], pa.string()),
+                             "area_i": pa.array([], pa.int64())})
         cell = _cell_of(g)
         l, r = _sides(g)
         L = RightGeoms(l) if l.num_rows else None

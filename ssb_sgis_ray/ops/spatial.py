@@ -17,12 +17,12 @@ complement; split returns a matched flag) and the sjoin-pairs projection of
   side" plan from SURVEY.md §2.4.
 * **cell co-partition path** (both sides large): both sides are flat-mapped
   to their covering cells (cells.cover_bbox), tagged, unioned, and joined
-  per cell over Arrow groups (``exchange.co_group``: one sort, or, for the
-  salted pairs join, a task exchange sized from its own cell histogram). Pair
-  duplicates from multi-cell geometries are removed by a distinct on
-  the left id (``sfilter_cell``) — the halo-dedup discipline of the
-  reference's ``gridloop`` (bounds.py:16-173); a point lies in one cell,
-  so the point-left pairs join has none.
+  per cell over Arrow groups (``exchange.co_group``: a hash cut on plain
+  tasks, or, for the salted pairs join, a cut sized from its own cell
+  histogram). Pair duplicates from multi-cell geometries are removed by
+  a distinct on the left id (``sfilter_cell``) — the halo-dedup
+  discipline of the reference's ``gridloop`` (bounds.py:16-173); a point
+  lies in one cell, so the point-left pairs join has none.
 
 Predicates: the reference's vocabulary (geo.kernels.PREDICATES), default
 'intersects' (boundary-inclusive). ``sfilter`` takes one name or, in split
@@ -403,9 +403,9 @@ def sjoin_cell_partitioned(
        The result is a materialized Dataset of the P reducers' tables;
        the tagged blocks are released when this function returns.
 
-    Without ``salt_threshold`` nothing is counted or materialized: the
-    left streams, and the sort samples its boundaries, one reducer per
-    input block.
+    Without ``salt_threshold`` nothing is counted: the exchange hashes
+    the cells into P partitions (``exchange.co_group`` without
+    ``boundaries``).
 
     ``skew_report_dir``: when set, the post-salting per-cell row
     histogram is summarized into <dir>/skew_metrics.jsonl (straggler
@@ -455,16 +455,6 @@ def sjoin_cell_partitioned(
                              boundaries, prepare)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over the uint64 view of int64 ``x``: every
-    input bit reaches every output bit, so structured ids (a composite
-    ``orderkey*10 + linenumber``) spread evenly modulo any salt count."""
-    z = np.ascontiguousarray(x, np.int64).view(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def _is_hot(cell: np.ndarray, hot_cells: np.ndarray) -> np.ndarray:
     """Membership of ``cell`` in the sorted int64 ``hot_cells``."""
     if len(hot_cells) == 0:
@@ -478,7 +468,7 @@ def _salt_left(batch: pa.Table, hot_cells: np.ndarray, n_salts: int) -> pa.Table
     the sorted int64 ``hot_cells``."""
     cell = batch["cell"].to_numpy(zero_copy_only=False)
     lid = batch["left_id"].to_numpy(zero_copy_only=False)
-    salt = _splitmix64(lid) % np.uint64(n_salts)
+    salt = exchange.splitmix64(lid) % np.uint64(n_salts)
     key = cell * n_salts + np.where(_is_hot(cell, hot_cells), salt.astype(np.int64), 0)
     return batch.set_column(0, "cell", pa.array(key, pa.int64()))
 
@@ -894,15 +884,14 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
     side exceeds the broadcast envelope (SFilter decodes the whole right
     table and builds its STRtree in every actor; at 10^6+ geometries that
     init dominates). Both sides stream as Datasets tagged with their
-    covering cells and are co-grouped by cell (``exchange.co_group``, one
-    sort);
+    covering cells and are co-grouped by cell (``exchange.co_group``);
     each cell's kernel evaluates one predicate name of the full
     vocabulary with the broadcast plan's left-kind table
     (polygon_predicate_pairs, or lines_in_polygon_pairs_predicate for
     ``left_kind='line'``) and returns the cell's distinct matched left
     ids. A second co-group on the left id keeps the distinct matched ids
     (semi) or, with the left id universe tagged alongside, the ids never
-    matched (anti), one kernel call per sorted block. Every group is an
+    matched (anti), one kernel call per partition. Every group is an
     Arrow table. Bad
     names, modes and left kinds raise ValueError here, before anything
     executes.
@@ -914,7 +903,7 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
     anti: unmatched); callers re-join attributes by id, keeping the
     exchange narrow (same contract as clean_overlay_cell). An empty
     result (e.g. anti over an all-matching fixture) comes back as a
-    schema-less empty Dataset — the 0-row-block quirk (DEVNOTES)."""
+    Dataset that keeps its ``left_id`` column."""
     _check_predicate(predicate, mode, ("semi", "anti"))
     _check_left_kind(left_kind, ("polygon", "line"))
     lt = left_ds.map_batches(

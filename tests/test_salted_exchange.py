@@ -63,7 +63,7 @@ def test_salt_splits_lineitem_hot_cells_evenly():
 def test_salt_int64_extremes_and_membership():
     ids = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 7],
                    np.int64)
-    s = spatial._splitmix64(ids) % np.uint64(8)
+    s = exchange.splitmix64(ids) % np.uint64(8)
     assert ((s >= 0) & (s < 8)).all()
     hot = np.array([-5, 3, 2**40], np.int64)
     cell = np.array([-5, -4, 3, 4, 2**40, 2**41, np.iinfo(np.int64).max], np.int64)
@@ -182,12 +182,13 @@ def test_co_group_calls_kernel_once_per_key(ray_session):
         for k, v in zip(b["k"].to_pylist(), b["v"].to_pylist()):
             want.setdefault(k, []).append(v)
 
-    def kernel(g: pa.Table) -> pa.Table:
+    def kernel(g: pa.Table) -> pa.Table:  # an empty partition calls it on 0 rows
         k = g["k"].to_numpy()
-        assert (k == k[0]).all()
-        return pa.table({"k": pa.array([k[0]], pa.int64()),
-                         "n": pa.array([g.num_rows], pa.int64()),
-                         "s": pa.array([int(g["v"].to_numpy().sum())], pa.int64())})
+        assert (k == k[:1]).all()
+        one = slice(0, min(g.num_rows, 1))
+        return pa.table({"k": pa.array(k[one], pa.int64()),
+                         "n": pa.array([g.num_rows][one], pa.int64()),
+                         "s": pa.array([int(g["v"].to_numpy().sum())][one], pa.int64())})
 
     for boundaries in (None, [], [10], [0, 5, 20, 39], [-100, 1000]):
         out = exchange.co_group(rd.from_arrow(blocks), "k", exchange.per_key("k", kernel),
@@ -198,32 +199,36 @@ def test_co_group_calls_kernel_once_per_key(ray_session):
 
 
 def test_co_group_emits_one_table_per_block():
-    """The whole-block step calls the kernel once per key and yields one
-    table per block holding every key's output; an empty block yields
-    nothing."""
+    """A ``per_key`` block kernel calls the kernel once per key and
+    returns one table holding every key's output; on a 0-row block it
+    calls the kernel once, on that block, and returns its typed answer."""
     calls = []
 
     def kernel(g: pa.Table) -> pa.Table:
         calls.append(g.num_rows)
-        return pa.table({"k": pa.array([g["k"][0].as_py()], pa.int64()),
-                         "n": pa.array([g.num_rows], pa.int64())})
+        return pa.table({"k": g["k"].slice(0, 1),
+                         "n": pa.array([g.num_rows][:g.num_rows], pa.int64())})
 
     keys = np.repeat(np.array([-4, 0, 3, 9, 2**40], np.int64), [3, 1, 5, 2, 4])
     block = pa.concat_tables([pa.table({"k": keys[:6]}), pa.table({"k": keys[6:]})])
     per_key = exchange.per_key("k", kernel)
-    (out,) = list(exchange._whole(block, "k", per_key))
+    out = per_key(block)
     assert calls == [3, 1, 5, 2, 4]
     assert out.to_pydict() == {"k": [-4, 0, 3, 9, 2**40], "n": [3, 1, 5, 2, 4]}
-    assert list(exchange._whole(block.slice(0, 0), "k", per_key)) == []
+    calls.clear()
+    empty = per_key(block.slice(0, 0))
+    assert calls == [0]
+    assert empty.num_rows == 0 and empty.schema == out.schema
 
 
 def test_sized_co_group_runs_one_reducer_task_per_partition(ray_session):
-    """Given boundaries, the exchange returns one block per partition in
-    key order: partition i holds the keys in [b[i-1], b[i]), and each key
-    reaches exactly one kernel call. A partition no row reached (all
-    boundaries below or above every key) returns an empty table without
-    calling the kernel; no boundaries give one partition. A ``prepare``
-    step rewrites the key inside the exchange."""
+    """Given boundaries, the exchange returns one block per non-empty
+    partition in key order: partition i holds the keys in [b[i-1], b[i]),
+    and each key reaches exactly one kernel call. A partition no row
+    reached (all boundaries below or above every key) calls the kernel
+    once on a typed 0-row slice, and its 0-row answer leaves no block;
+    no boundaries give one partition. A ``prepare`` step rewrites the
+    key inside the exchange."""
     import ray
     import ray.data as rd
 
@@ -245,15 +250,13 @@ def test_sized_co_group_runs_one_reducer_task_per_partition(ray_session):
                               ([1000, 2000], [1, 2]), ([], [])):
         parts = ray.get(exchange.co_group(rd.from_arrow(blocks), "k", kernel,
                                           boundaries).to_arrow_refs())
-        assert len(parts) == len(boundaries) + 1
+        full = [i for i in range(len(boundaries) + 1) if i not in empty]
+        assert len(parts) == len(full)
         edges = [-np.inf, *boundaries, np.inf]
-        for i, t in enumerate(parts):
-            if i in empty:
-                assert t.num_rows == 0 and t.num_columns == 0  # no kernel call
-                continue
+        for i, t in zip(full, parts):
             assert len(set(t["call"].to_pylist())) == 1  # one call per partition
             assert all(edges[i] <= x < edges[i + 1] for x in t["k"].to_pylist())
-        got = pa.concat_tables([t for t in parts if t.num_rows])
+        got = pa.concat_tables(parts)
         want_k, want_n = np.unique(k, return_counts=True)
         assert got["k"].to_pylist() == want_k.tolist()  # each key once, in order
         assert got["n"].to_pylist() == want_n.tolist()
@@ -265,6 +268,10 @@ def test_sized_co_group_runs_one_reducer_task_per_partition(ray_session):
                                       prepare=shift).to_arrow_refs())
     assert [t["k"].to_pylist() for t in parts] == [
         [x + 100 for x in range(-3, 20)], [x + 100 for x in range(20, 40)]]
+
+    # the reducer of an empty partition: the kernel's typed answer to 0 rows
+    out, n = ray.get(exchange._reduce.remote("k", kernel, blocks[0].slice(0, 0)))
+    assert n == 0 and out.num_rows == 0 and out.column_names == ["k", "n", "call"]
 
 
 def test_salted_plan_tags_its_left_once(ray_session, tmp_path, monkeypatch):
