@@ -8,7 +8,7 @@ once, already sorted, and regroups them with ``runs``. This replaces
 each), and with it the coarse "super key" (``k % 256``) that was hashed
 onto rows to keep the group count low. A kernel that is clearest per key
 is wrapped in ``per_key``: a Python loop over the block's key slices,
-still one call per block.
+still one call per block; ``then`` appends a per-block follow-up.
 
 One path runs it, on plain Ray tasks with no Ray Data sort or groupby:
 one task per input block cuts it into P partitions (``_cut``,
@@ -19,7 +19,10 @@ the block is grouped by partition, not sorted on its key) unless the
 caller gives key boundaries it already counted (a sized cut: the block
 is sorted and cut with ``np.searchsorted``). Co-grouping needs whole
 keys in each call, not a global key order, so a hash cut suffices
-wherever no caller sizes the partitions.
+wherever no caller sizes the partitions. The answer is the reducers'
+blocks as a materialized Dataset: consuming it runs no further Ray Data
+execution, so a caller's per-block follow-up (a rename, a local dedup)
+goes into the kernel rather than a ``map_batches`` after it.
 
 The sized cut's inputs come from the helpers below: ``key_counts``
 (one task per non-empty block counts its rows per key), then
@@ -73,6 +76,14 @@ def co_group(ds, key, kernel, boundaries=None, prepare=None):
     answer when none has. No block of a non-empty answer is empty: Ray
     2.49's ``Dataset.join`` sends a side's schema to its partitions with
     the side's first block only, and a 0-row first block sends none.
+
+    The answer is final when it leaves the reducers: every return path
+    ends in ``.materialize()``, which on ``from_arrow_refs`` runs no
+    executor, so ``to_pandas``, ``to_arrow_refs`` or another
+    ``co_group`` read the reducers' blocks with no Ray Data execution.
+    (A bare ``from_arrow_refs`` Dataset starts a ``StreamingExecutor``
+    each time it is consumed.) Work a consumer would do per block, such
+    as renaming columns, belongs in ``kernel``.
     """
     from ray.data.dataset import MaterializedDataset
 
@@ -83,7 +94,7 @@ def co_group(ds, key, kernel, boundaries=None, prepare=None):
     if not blocks:
         schema = ds.schema()
         if schema is None:
-            return ray.data.from_arrow(pa.table({}))
+            return ray.data.from_arrow(pa.table({})).materialize()
         blocks = [ray.put(schema.base_schema.empty_table())]
     if boundaries is None:
         n = n_partitions(ds.size_bytes(), max(ds.count(), 1))
@@ -102,7 +113,7 @@ def co_group(ds, key, kernel, boundaries=None, prepare=None):
     del parts
     rows = ray.get([r for _, r in outs])
     return ray.data.from_arrow_refs([t for (t, _), k in zip(outs, rows) if k]
-                                    or [outs[0][0]])
+                                    or [outs[0][0]]).materialize()
 
 
 def runs(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +147,17 @@ def _run_keys(block: pa.Table, key, kernel) -> pa.Table:
     starts, ends = runs(*(block[c].to_numpy() for c in _names(key)))
     return pa.concat_tables([kernel(block.slice(a, b - a))
                              for a, b in zip(starts.tolist(), ends.tolist())])
+
+
+def then(kernel, post):
+    """Block kernel ``post(kernel(block))``: a per-block follow-up (a
+    rename, a local dedup) runs in the reducer call that made the block,
+    not as another pass over the answer."""
+    return functools.partial(_then, kernel=kernel, post=post)
+
+
+def _then(block: pa.Table, kernel, post) -> pa.Table:
+    return post(kernel(block))
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
@@ -218,12 +240,13 @@ def key_counts(ds, key: str, side: int | None = None) -> tuple[pa.Array, np.ndar
 
     One plain Ray task per non-empty block of ``ds`` counts its keys (a
     0-row block, which may carry no columns, is skipped by its
-    metadata); the calling process merges the small per-block counts in
-    block order. On a materialized Dataset no Ray Data execution runs; a
-    lazy one executes once, projected to the columns counted. No
-    exchange runs either way, and the calling process holds O(distinct
-    keys) at a time. Returns (keys, counts): the keys ascending with a
-    null key last, the counts int64.
+    metadata); the calling process fetches every block's counts with
+    one ``ray.get`` and merges them with one ``group_by`` (it holds
+    every block's counts at once: the sum of the blocks' distinct keys).
+    On a materialized Dataset no Ray Data execution runs; a lazy one
+    executes once, projected to the columns counted. No exchange runs
+    either way. Returns (keys, counts): the keys ascending with a null
+    key last, the counts int64.
     """
     from ray.data.dataset import MaterializedDataset
 
@@ -232,12 +255,13 @@ def key_counts(ds, key: str, side: int | None = None) -> tuple[pa.Array, np.ndar
     parts = [_count_block.remote(ref, key, side)
              for bundle in ds.iter_internal_ref_bundles()
              for ref, meta in bundle.blocks if meta.num_rows != 0]
-    keys, n = pa.array([], pa.int64()), np.empty(0, np.int64)
-    for part in parts:
-        k, c = ray.get(part)
-        merged = pa.table({"k": pa.concat_arrays([keys.cast(k.type), k]),
-                           "n": np.concatenate([n, c])}).group_by("k").aggregate([("n", "sum")])
-        keys, n = merged["k"].combine_chunks(), merged["n_sum"].to_numpy()
+    got = ray.get(parts)
+    if not got:
+        return pa.array([], pa.int64()), np.empty(0, np.int64)
+    merged = pa.table({"k": pa.chunked_array([k.cast(got[-1][0].type) for k, _ in got]),
+                       "n": np.concatenate([c for _, c in got])}
+                      ).group_by("k").aggregate([("n", "sum")])
+    keys, n = merged["k"].combine_chunks(), merged["n_sum"].to_numpy()
     order = pc.sort_indices(keys, null_placement="at_end")
     return keys.take(order), n[order.to_numpy()]
 

@@ -24,7 +24,7 @@ import pyarrow as pa
 
 from .text import md5_hash_column
 
-from ..exchange import co_group, per_key, runs
+from ..exchange import co_group, per_key, runs, then
 from ..pool import default_pool
 
 MERSENNE = (1 << 61) - 1
@@ -241,13 +241,13 @@ def minhash_candidate_pairs(docs_ds):
 
     Shuffle key = band_hash (band index folded in, so ONE int64 key);
     hot buckets are star-capped in the block kernel (_bucket_pairs). The
-    same pair can fire in several bands; distinct_pairs removes the
-    repeats without driver materialization at any size (VERDICT r1
-    scale-blocker #4), for any int64 doc ids.
+    same pair can fire in several bands; ``_co_group_distinct_pairs``
+    removes the repeats without driver materialization at any size
+    (VERDICT r1 scale-blocker #4), for any int64 doc ids.
     """
     bands = docs_ds.map_batches(MinHashStage, batch_format="pyarrow",
                                 concurrency=default_pool(), batch_size=4096)
-    return distinct_pairs(co_group(bands, "band_hash", _bucket_pairs))
+    return _co_group_distinct_pairs(bands, "band_hash", _bucket_pairs)
 
 
 def verify_pairs_jaccard(pairs_ds, docs_ds, threshold: float = 0.8, k: int = 5,
@@ -493,8 +493,7 @@ def embed_dedup_pairs_bucketed(
 
     assigned = emb_ds.map_batches(Assign, batch_format="pyarrow",
                                   concurrency=default_pool(), batch_size=4096)
-    return distinct_pairs(
-        co_group(assigned, "list_id", per_key("list_id", bucket_pairs)))
+    return _co_group_distinct_pairs(assigned, "list_id", per_key("list_id", bucket_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -650,24 +649,38 @@ def _first_of_runs(b: pa.Table) -> pa.Table:
     return b.take(runs(b["id_a"].to_numpy(), b["id_b"].to_numpy())[0])
 
 
+def _dedup_block(b: pa.Table) -> pa.Table:
+    """A block's distinct (id_a, id_b) rows as int64 (_pair_dedup_local)."""
+    a, bb = _pair_dedup_local(b["id_a"].to_numpy(zero_copy_only=False),
+                              b["id_b"].to_numpy(zero_copy_only=False))
+    return pa.table({"id_a": pa.array(a, pa.int64()),
+                     "id_b": pa.array(bb, pa.int64())})
+
+
 def distinct_pairs(pairs_ds):
     """Distributed distinct over (id_a, id_b) pair rows, any int64 ids:
-    pre-dedup in-kernel (_pair_dedup_local; its 31-bit packing is only a
+    pre-dedup per block (_pair_dedup_local; its 31-bit packing is only a
     fast path behind an explicit range guard), then either a driver merge
     or one co-group on (id_a, id_b) that keeps the first row of each
     run."""
+    return _merge_distinct(
+        pairs_ds.map_batches(_dedup_block, batch_format="pyarrow").materialize())
 
-    def pre(b: pa.Table) -> pa.Table:
-        a = b["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bb = b["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a, bb = _pair_dedup_local(a, bb)
-        return pa.table({"id_a": pa.array(a, pa.int64()),
-                         "id_b": pa.array(bb, pa.int64())})
 
+def _co_group_distinct_pairs(ds, key, kernel):
+    """``distinct_pairs`` of ``co_group(ds, key, kernel)``'s (id_a, id_b)
+    pairs, with the per-block pre-dedup run in each reducer's kernel call
+    (``exchange.then``), not as one more Ray Data execution over the
+    answer."""
+    return _merge_distinct(co_group(ds, key, then(kernel, _dedup_block)))
+
+
+def _merge_distinct(packed):
+    """Distinct rows of a materialized Dataset of per-block deduped int64
+    (id_a, id_b) pairs."""
     import ray
     import ray.data as rd
 
-    packed = pairs_ds.map_batches(pre, batch_format="pyarrow").materialize()
     # in-kernel pre-dedup usually collapses the candidate set to a few
     # hundred rows at bench density — a driver merge replaces the
     # whole exchange (~3.5 s of machinery). Limit-guarded: big candidate
@@ -750,7 +763,7 @@ def phash_near_dup_pairs(imgs_ds, id_col: str = "doc_id",
                          "id_b": pa.array(np.maximum(a, b), pa.int64())})
 
     bands = imgs_ds.map_batches(explode_bands, batch_format="pyarrow")
-    return distinct_pairs(co_group(bands, "band_hash", band_pairs))
+    return _co_group_distinct_pairs(bands, "band_hash", band_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1579,7 +1592,7 @@ def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5, k: int = 5,
         return pa.table({"id_a": pa.array(np.minimum(a, b), pa.int64()),
                          "id_b": pa.array(np.maximum(a, b), pa.int64())})
 
-    cands = distinct_pairs(co_group(prefix, "sh", prefix_pairs))
+    cands = _co_group_distinct_pairs(prefix, "sh", prefix_pairs)
     return verify_pairs_jaccard(cands, docs_ds, threshold=threshold, k=k)
 
 

@@ -32,6 +32,7 @@ mode, a sequence of names answered from one candidate pass.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Literal
 
 import numpy as np
@@ -373,9 +374,13 @@ def sjoin_cell_partitioned(
     Points land in exactly one cell; polygons are replicated to every cell
     their bbox overlaps, so a pair can match in at most one cell for PIP
     (the point's cell) — no dedup leg needed for the point-left case.
-    Returns a Dataset of int64 (left_id, right_id) pairs; each shuffle key
-    is joined over its Arrow group (``_per_cell_pip``). Results are
-    identical with or without salting.
+    Returns a materialized Dataset of int64 pairs whose columns are named
+    after the caller's ids: ``left_id`` and ``right_id``, the right one
+    ``<right_id>_2`` when the two names are equal (``SFilter``'s pairs
+    rule); consuming it runs no Ray Data execution. Each shuffle key is
+    joined over its Arrow group (``_per_cell_pip``, one call per key) and
+    each reducer block renamed once. Results are identical with or
+    without salting.
 
     The salted plan (``salt_threshold`` set) sizes its exchange from its
     own histogram and runs it before this function returns:
@@ -399,9 +404,10 @@ def sjoin_cell_partitioned(
        on the shuffle key and cuts it into P slices (``exchange.co_group``
        with ``boundaries`` and ``prepare``; no sort operator, no sample);
     5. reduce: P tasks each concatenate and sort their slices and call
-       ``_per_cell_pip`` once per shuffle key (``exchange.per_key``).
-       The result is a materialized Dataset of the P reducers' tables;
-       the tagged blocks are released when this function returns.
+       ``_per_cell_pip`` once per shuffle key (``exchange.per_key``),
+       then name the block's pair columns. The result is a materialized
+       Dataset of the P reducers' tables; the tagged blocks are released
+       when this function returns.
 
     Without ``salt_threshold`` nothing is counted: the exchange hashes
     the cells into P partitions (``exchange.co_group`` without
@@ -451,8 +457,10 @@ def sjoin_cell_partitioned(
         skew_mod.record_cell_skew(
             skew_report_dir, skew_mod.cell_skew_summary(salted, stage=stage))
         skew_mod.record_plan(skew_report_dir, {"op": stage, **plan})
-    return exchange.co_group(both, "cell", exchange.per_key("cell", _per_cell_pip),
-                             boundaries, prepare)
+    names = [left_id, f"{right_id}_2" if right_id == left_id else right_id]
+    kernel = exchange.then(exchange.per_key("cell", _per_cell_pip),
+                           operator.methodcaller("rename_columns", names))
+    return exchange.co_group(both, "cell", kernel, boundaries, prepare)
 
 
 def _is_hot(cell: np.ndarray, hot_cells: np.ndarray) -> np.ndarray:

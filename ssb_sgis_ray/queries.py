@@ -172,15 +172,10 @@ ON abs(c.px - s.sx) + abs(c.py - s.sy) <= s.r
 def q_pip_pairs_cell(sf_dir: str):
     """Same join via the cell-co-partitioned shuffle plan (both sides as
     Datasets) — proves the large×large physical plan on the same oracle."""
-    out = spatial.sjoin_cell_partitioned(
+    return spatial.sjoin_cell_partitioned(
         customers(sf_dir), suppliers_ds(sf_dir), res=9,
         left_id="c_custkey", right_id="s_suppkey",
     )
-
-    def rename(b: pa.Table) -> pa.Table:
-        return b.rename_columns(["c_custkey", "s_suppkey"])
-
-    return out.map_batches(rename, batch_format="pyarrow")
 
 
 def _predicate_counts(split, preds) -> pa.Table:
@@ -375,16 +370,11 @@ def q_pip_pairs_salted(sf_dir: str):
     hotspot cell exceeds the salt threshold and is split into 8 sub-keys
     (right rows replicated per salt). Same oracle as the unsalted join —
     salting must not change results."""
-    out = spatial.sjoin_cell_partitioned(
+    return spatial.sjoin_cell_partitioned(
         lineitems(sf_dir), nations_ds(sf_dir), res=9,
         left_id="l_key", right_id="n_nationkey",
         salt_threshold=5000, n_salts=8,
     )
-
-    def rename(b: pa.Table) -> pa.Table:
-        return b.rename_columns(["l_key", "n_nationkey"])
-
-    return out.map_batches(rename, batch_format="pyarrow")
 
 
 LINE_PT_SQL = (

@@ -121,7 +121,7 @@ out = {
                      "id_a", "id_b"),
     "salted": rows(spatial.sjoin_cell_partitioned(
         lineitems(sf), nations_ds(sf), res=9, left_id="l_key", right_id="n_nationkey",
-        salt_threshold=500, n_salts=8), "left_id", "right_id"),
+        salt_threshold=500, n_salts=8), "l_key", "n_nationkey"),
     "sfilter_semi": rows(spatial.sfilter_cell(
         parts(sf), orders_ds(sf), left_id="p_partkey", right_id="o_orderkey",
         mode="semi", predicate="touches", res=10), "p_partkey"),
@@ -199,7 +199,7 @@ def test_distributed_exchanges_in_one_cpu_session(ray_session, tmp_path, monkeyp
         "salted": rows(spatial.sjoin_cell_partitioned(
             lineitems(SF), nations_ds(SF), res=9, left_id="l_key",
             right_id="n_nationkey", salt_threshold=500, n_salts=8),
-            "left_id", "right_id"),
+            "l_key", "n_nationkey"),
         "sfilter_semi": rows(spatial.sfilter_cell(
             parts(SF), orders_ds(SF), left_id="p_partkey", right_id="o_orderkey",
             mode="semi", predicate="touches", res=10), "p_partkey"),
@@ -275,7 +275,9 @@ def test_hash_co_group_plan_shape(ray_session, monkeypatch):
     """A co-group without boundaries runs one Ray Data execution (its
     lazy input's), no sort and no groupby, and one reducer task per
     partition: ``n_partitions`` of the input, one per session CPU here.
-    Its answer is materialized."""
+    Its answer is materialized, and consuming it starts no executor:
+    not ``to_pandas``, not ``to_arrow_refs``, not a co-group over it;
+    nor do the typed 0-row and column-less answers."""
     import ray
     import ray.data as rd
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
@@ -312,10 +314,23 @@ def test_hash_co_group_plan_shape(ray_session, monkeypatch):
         m.setattr(rd.Dataset, "sort", refuse)
         m.setattr(rd.Dataset, "groupby", refuse)
         out = exchange.co_group(ds, "k", kernel)
-    assert len(executions) == 1
+        assert len(executions) == 1
+        n_reducers = len(reducers)
+        df = out.to_pandas()
+        parts = ray.get(out.to_arrow_refs())
+        again = exchange.co_group(out, "k", lambda b: b).to_pandas()
+        assert len(executions) == 1
+        empty = exchange.co_group(rd.from_arrow(blocks[0].slice(0, 0)).materialize(),
+                                  "k", kernel)
+        no_cols = exchange.co_group(rd.from_arrow(blocks[0]).filter(lambda r: False),
+                                    "k", kernel)
+        before = len(executions)
+        assert len(empty.to_pandas()) == 0 and empty.schema().names == ["k", "n"]
+        assert len(no_cols.to_pandas()) == 0 and no_cols.count() == 0
+        assert len(executions) == before
     assert isinstance(out, rd.dataset.MaterializedDataset)
-    parts = ray.get(out.to_arrow_refs())
-    assert len(reducers) == len(parts) == int(ray.cluster_resources()["CPU"])
+    assert len(df) == len(again) == sum(p.num_rows for p in parts)
+    assert n_reducers == len(parts) == int(ray.cluster_resources()["CPU"])
     got = pa.concat_tables(parts).sort_by("k")
     k, n = np.unique(np.concatenate([b["k"].to_numpy() for b in blocks]), return_counts=True)
     assert got["k"].to_pylist() == k.tolist()  # each key in one call

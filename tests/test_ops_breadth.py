@@ -166,7 +166,7 @@ def test_salted_join_equals_unsalted(ray_session, tmp_path, monkeypatch):
                   .to_pandas(), "l_key", "n_nationkey")
     plain = pairs(spatial.sjoin_cell_partitioned(
         lineitems(SF), nations_ds(SF), res=9, left_id="l_key", right_id="n_nationkey"
-    ).to_pandas())
+    ).to_pandas(), "l_key", "n_nationkey")
 
     def no_sampling(*a, **k):
         raise AssertionError("the salted plan sampled sort boundaries")
@@ -176,7 +176,7 @@ def test_salted_join_equals_unsalted(ray_session, tmp_path, monkeypatch):
     salted = pairs(spatial.sjoin_cell_partitioned(
         lineitems(SF), nations_ds(SF), res=9, left_id="l_key", right_id="n_nationkey",
         salt_threshold=500, n_salts=8, skew_report_dir=report,
-    ).to_pandas())
+    ).to_pandas(), "l_key", "n_nationkey")
     assert len(bcast) > 1000
     assert salted == plain == bcast
 

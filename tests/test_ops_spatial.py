@@ -80,9 +80,36 @@ def test_sjoin_cell_partitioned_matches_broadcast(ray_session):
     got = spatial.sjoin_cell_partitioned(
         customers_ds(), suppliers_ds(), res=7, left_id="c_custkey", right_id="s_suppkey"
     ).to_pandas()
-    assert set(zip(got["left_id"], got["right_id"])) == oracle_pip_pairs()
+    assert set(zip(got["c_custkey"], got["s_suppkey"])) == oracle_pip_pairs()
     # a pair may appear at most once (points live in exactly one cell)
     assert not got.duplicated().any()
+
+
+def test_sjoin_cell_partitioned_names_pairs_like_sjoin_pairs(ray_session):
+    """The cell join names its pair columns after the caller's ids, with
+    ``SFilter``'s clash rule: equal id names give ``<name>_2`` on the
+    right, and the pairs equal the broadcast join's (salted or not). The
+    default ids still give (left_id, right_id)."""
+    def renamed(ds, old, new):
+        return ds.map_batches(lambda b: b.rename_columns(
+            [new if c == old else c for c in b.column_names]), batch_format="pyarrow")
+
+    left = renamed(customers_ds(), "c_custkey", "id")
+    right = renamed(suppliers_ds(), "s_suppkey", "id")
+    sup = suppliers_table().rename_columns(
+        ["id" if c == "s_suppkey" else c for c in suppliers_table().column_names])
+    want = spatial.sjoin_pairs(left, sup, right_cols=["id"]).to_pandas()
+    want = sorted(zip(want["id"], want["id_2"]))
+    assert want == sorted(oracle_pip_pairs())
+    for salt_threshold in (None, 20):
+        got = spatial.sjoin_cell_partitioned(left, right, res=7, left_id="id",
+                                             right_id="id", salt_threshold=salt_threshold)
+        assert got.schema().names == ["id", "id_2"]
+        df = got.to_pandas()
+        assert sorted(zip(df["id"], df["id_2"])) == want
+    plain = spatial.sjoin_cell_partitioned(renamed(left, "id", "left_id"),
+                                           renamed(right, "id", "right_id"), res=7)
+    assert plain.schema().names == ["left_id", "right_id"] and plain.count() == len(want)
 
 
 def test_knn_broadcast_and_cells_match_bruteforce(ray_session):

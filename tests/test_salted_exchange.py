@@ -327,18 +327,47 @@ def test_salted_plan_tags_its_left_once(ray_session, tmp_path, monkeypatch):
             left, right, res=9, left_id="l_key", right_id="n_nationkey",
             salt_threshold=500, n_salts=8)
         assert isinstance(out, MaterializedDataset) and len(executions) == 1
-    salted = pairs(out)
+    salted = pairs(out, "l_key", "n_nationkey")
     assert calls(left_log) == [2000, 2000, 2000]
     assert calls(right_log) == [12, 13]
 
     plain = pairs(spatial.sjoin_cell_partitioned(
         rd.from_arrow(blocks), nations_ds(SF), res=9, left_id="l_key",
-        right_id="n_nationkey"))
+        right_id="n_nationkey"), "l_key", "n_nationkey")
     bcast = pairs(spatial.sjoin_pairs(rd.from_arrow(blocks), nat,
                                       right_cols=["n_nationkey"]),
                   "l_key", "n_nationkey")
     assert len(bcast) > 1000
     assert salted == plain == bcast
+
+
+def test_salted_pairs_query_runs_one_execution(ray_session, monkeypatch):
+    """``q_pip_pairs_salted`` through ``to_pandas`` runs one Ray Data
+    execution, the tagging: the reducers name the pairs after the query's
+    ids, so no rename map runs over the answer, and reading the answer
+    starts no executor."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from ssb_sgis_ray.queries import q_pip_pairs_salted
+
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counted_execute(self, *a, **k):
+        executions.append(1)
+        return execute(self, *a, **k)
+
+    def no_map(*a, **k):
+        raise AssertionError("a map_batches ran over the join's answer")
+
+    with monkeypatch.context() as m:
+        m.setattr(StreamingExecutor, "execute", counted_execute)
+        out = q_pip_pairs_salted(SF)
+        m.setattr(rd.Dataset, "map_batches", no_map)
+        df = out.to_pandas()
+    assert len(executions) == 1
+    assert list(df.columns) == ["l_key", "n_nationkey"] and len(df) > 1000
 
 
 def test_salted_plan_telemetry_on_the_skew_fixture(ray_session, tmp_path):
@@ -526,10 +555,11 @@ out = {
     "bcast": pairs(spatial.sjoin_pairs(lineitems(sf), nat, right_cols=["n_nationkey"],
                                        nrows=rows), "l_key", "n_nationkey"),
     "plain": pairs(spatial.sjoin_cell_partitioned(
-        lineitems(sf), nations_ds(sf), res=9, left_id="l_key", right_id="n_nationkey")),
+        lineitems(sf), nations_ds(sf), res=9, left_id="l_key", right_id="n_nationkey"),
+        "l_key", "n_nationkey"),
     "salted": pairs(spatial.sjoin_cell_partitioned(
         lineitems(sf), nations_ds(sf), res=9, left_id="l_key", right_id="n_nationkey",
-        salt_threshold=500, n_salts=8, skew_report_dir=report)),
+        salt_threshold=500, n_salts=8, skew_report_dir=report), "l_key", "n_nationkey"),
     "plan": skew.load_plans(report),
 }
 ray.shutdown()
