@@ -77,18 +77,18 @@ def co_group(ds, key, kernel, boundaries=None, prepare=None):
     2.49's ``Dataset.join`` sends a side's schema to its partitions with
     the side's first block only, and a 0-row first block sends none.
 
-    The answer is final when it leaves the reducers: every return path
-    ends in ``.materialize()``, which on ``from_arrow_refs`` runs no
-    executor, so ``to_pandas``, ``to_arrow_refs`` or another
-    ``co_group`` read the reducers' blocks with no Ray Data execution.
-    (A bare ``from_arrow_refs`` Dataset starts a ``StreamingExecutor``
-    each time it is consumed.) Work a consumer would do per block, such
-    as renaming columns, belongs in ``kernel``.
+    The answer is final when it leaves the reducers: each reducer
+    returns its block's metadata with the block, the answer is built
+    from both as ``ray.data.from_arrow_refs`` builds it but with no
+    metadata task (``_from_reducers``), and every return path ends in
+    ``.materialize()``, which on such a ``FromArrow`` source runs no
+    executor. ``to_pandas``, ``to_arrow_refs`` or another ``co_group``
+    then read the reducers' blocks with no Ray Data execution. (A bare
+    ``from_arrow_refs`` Dataset starts a ``StreamingExecutor`` each time
+    it is consumed.) Work a consumer would do per block, such as
+    renaming columns, belongs in ``kernel``.
     """
-    from ray.data.dataset import MaterializedDataset
-
-    if not isinstance(ds, MaterializedDataset):
-        ds = ds.materialize()
+    ds = _computed(ds)
     blocks = [ref for bundle in ds.iter_internal_ref_bundles()
               for ref, meta in bundle.blocks if meta.num_rows != 0]
     if not blocks:
@@ -111,9 +111,36 @@ def co_group(ds, key, kernel, boundaries=None, prepare=None):
         parts = [[p] for p in parts]
     outs = [_reduce.remote(key, kernel, *(p[i] for p in parts)) for i in range(n)]
     del parts
-    rows = ray.get([r for _, r in outs])
-    return ray.data.from_arrow_refs([t for (t, _), k in zip(outs, rows) if k]
-                                    or [outs[0][0]]).materialize()
+    metas = ray.get([m for _, m in outs])
+    return _from_reducers([(t, m) for (t, _), m in zip(outs, metas) if m.num_rows]
+                          or [(outs[0][0], metas[0])])
+
+
+def _computed(ds):
+    """``ds`` with its blocks computed, so reading them starts no
+    executor: a lazy Dataset executes once, and so does a bare
+    ``from_arrow`` / ``from_arrow_refs`` source (a ``MaterializedDataset``
+    whose plan has not run, which ``materialize`` completes with no
+    executor); a computed Dataset is returned as it is."""
+    return ds if ds._plan.has_computed_output() else ds.materialize()
+
+
+def _from_reducers(blocks):
+    """The materialized Dataset of ``(block ref, BlockMetadataWithSchema)``
+    pairs, built as ``ray.data.from_arrow_refs`` builds it, from metadata
+    the reducers returned instead of one metadata task per block."""
+    from ray.data import DataContext
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.dataset import MaterializedDataset
+
+    refs, metas = (list(c) for c in zip(*blocks))
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(
+        plan, LogicalPlan(FromArrow(refs, metas), plan._context)).materialize()
 
 
 def runs(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,13 +242,16 @@ def _cut(block: pa.Table, key, n: int, boundaries: np.ndarray | None, prepare):
 
 
 @ray.remote(num_returns=2)
-def _reduce(key, kernel, *slices: pa.Table) -> tuple[pa.Table, int]:
+def _reduce(key, kernel, *slices: pa.Table):
     """``kernel`` over one partition's slices, concatenated and sorted, and
-    its answer's row count; a partition no row reached calls it on one
-    typed 0-row slice."""
+    its answer's ``BlockMetadataWithSchema`` (what Ray's
+    ``from_arrow_refs`` would compute in a task of its own); a partition
+    no row reached calls it on one typed 0-row slice."""
+    from ray.data.block import BlockMetadataWithSchema
+
     rows = [s for s in slices if s.num_rows] or list(slices[:1])
     out = kernel(_sort(pa.concat_tables(rows), key)[0])
-    return out, out.num_rows
+    return out, BlockMetadataWithSchema.from_block(out)
 
 
 @ray.remote
@@ -243,14 +273,16 @@ def key_counts(ds, key: str, side: int | None = None) -> tuple[pa.Array, np.ndar
     metadata); the calling process fetches every block's counts with
     one ``ray.get`` and merges them with one ``group_by`` (it holds
     every block's counts at once: the sum of the blocks' distinct keys).
-    On a materialized Dataset no Ray Data execution runs; a lazy one
-    executes once, projected to the columns counted. No exchange runs
-    either way. Returns (keys, counts): the keys ascending with a null
-    key last, the counts int64.
+    On a materialized Dataset (a bare ``from_arrow`` one included) no
+    Ray Data execution runs; a lazy one executes once, projected to the
+    columns counted. No exchange runs either way. Returns (keys,
+    counts): the keys ascending with a null key last, the counts int64.
     """
     from ray.data.dataset import MaterializedDataset
 
-    if not isinstance(ds, MaterializedDataset):
+    if isinstance(ds, MaterializedDataset):
+        ds = _computed(ds)
+    else:
         ds = ds.select_columns([key] if side is None else [key, "side"])
     parts = [_count_block.remote(ref, key, side)
              for bundle in ds.iter_internal_ref_bundles()

@@ -337,12 +337,12 @@ _RECT_RULES = {
 }
 
 
-def _rect_pair_basis(left_pg: PolygonArray, right_pg: PolygonArray,
+def _rect_pair_basis(lb: np.ndarray, rb: np.ndarray,
                      qi: np.ndarray, pi: np.ndarray):
-    """(ix, iy, l_in_r, r_in_l) of rect×rect (left-row, right-row) pairs;
-    ix/iy are the signed intersection extents (>= 0: closed boxes meet).
-    Reads 1-D gathers of each bound column, never (n, 4) pair rows."""
-    lb, rb = polygon_bounds(left_pg), polygon_bounds(right_pg)
+    """(ix, iy, l_in_r, r_in_l) of rect×rect (left-row, right-row) pairs
+    from the two sides' (n, 4) bounds; ix/iy are the signed intersection
+    extents (>= 0: closed boxes meet). Reads 1-D gathers of each bound
+    column, never (n, 4) pair rows."""
     lx0, ly0, lx1, ly1 = (lb[:, k][qi] for k in range(4))
     rx0, ry0, rx1, ry1 = (rb[:, k][pi] for k in range(4))
     ix = np.minimum(lx1, rx1) - np.maximum(lx0, rx0)
@@ -409,6 +409,8 @@ def polygon_predicate_pairs(
     qi: np.ndarray,
     pi: np.ndarray,
     predicate="intersects",
+    right_bounds: np.ndarray | None = None,
+    right_rects: np.ndarray | None = None,
 ) -> np.ndarray:
     """Areal×areal predicate vocabulary for candidate (left-row,
     right-row) pairs (reference sfilter.py:67-134 semantics): built on
@@ -428,7 +430,10 @@ def polygon_predicate_pairs(
     Zero-tests use a relative epsilon on the snapped scanline areas.
     ``predicate`` is one name (-> mask over pairs) or a sequence of names
     (-> one mask row per name); either way each pair's interval
-    quantities or boolean areas are computed once."""
+    quantities or boolean areas are computed once. ``right_bounds`` /
+    ``right_rects``: the right side's ``polygon_bounds`` and
+    ``detect_axis_rects``, when the caller holds them (a broadcast index
+    derives them once per query); computed here otherwise."""
     names = predicate_names(predicate)
     # axis-rect fast path (same special case the clip kernels use): both
     # sides plain rectangles -> pure vectorized interval arithmetic on
@@ -439,11 +444,14 @@ def polygon_predicate_pairs(
     # on the sf0.1 box fixture). When every row of both sides is a rect
     # the basis reads qi / pi directly; otherwise the rect pairs' subset
     # goes through the same basis and the rest through the area engine.
-    l_rect, r_rect = detect_axis_rects(left_pg), detect_axis_rects(right_pg)
+    lb = polygon_bounds(left_pg)
+    rb = polygon_bounds(right_pg) if right_bounds is None else right_bounds
+    l_rect = detect_axis_rects(left_pg, lb)
+    r_rect = detect_axis_rects(right_pg, rb) if right_rects is None else right_rects
     if l_rect.all() and r_rect.all():
         out = _predicate_masks(
             names, len(qi), _RECT_RULES,
-            lambda: _rect_pair_basis(left_pg, right_pg, qi, pi))
+            lambda: _rect_pair_basis(lb, rb, qi, pi))
         return out[0] if isinstance(predicate, str) else out
     rectpair = l_rect[qi] & r_rect[pi]
     out = np.zeros((len(names), len(qi)), dtype=bool)
@@ -451,7 +459,7 @@ def polygon_predicate_pairs(
     if len(jf):
         out[:, jf] = _predicate_masks(
             names, len(jf), _RECT_RULES,
-            lambda: _rect_pair_basis(left_pg, right_pg, qi[jf], pi[jf]))
+            lambda: _rect_pair_basis(lb, rb, qi[jf], pi[jf]))
     gidx = np.nonzero(~rectpair)[0]
     if len(gidx):
         out[:, gidx] = _predicate_masks(
@@ -821,35 +829,34 @@ def point_segment_dist2(px, py, x1, y1, x2, y2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def detect_axis_rects(pg: PolygonArray) -> np.ndarray:
+def detect_axis_rects(pg: PolygonArray, bounds: np.ndarray | None = None) -> np.ndarray:
     """Rows that are single-ring axis-aligned rectangles (5-pt ring whose
     area equals its bbox area and whose coords all lie on the bbox edges).
     GEOS has the same special case; it unlocks pure interval math for
-    clip/subtract, keeping boxes vectorized end to end."""
-    n = len(pg)
-    out = np.zeros(n, dtype=bool)
-    single_poly = np.diff(pg.geom_offsets) == 1
-    first_ring = pg.poly_offsets[pg.geom_offsets[:-1]]
-    single_ring = np.diff(pg.poly_offsets)[pg.geom_offsets[:-1]] == 1
-    npts = pg.ring_offsets[first_ring + 1] - pg.ring_offsets[first_ring]
-    cand = single_poly & single_ring & (npts == 5)
-    if not cand.any():
+    clip/subtract, keeping boxes vectorized end to end. ``bounds``: the
+    rows' ``polygon_bounds``, if the caller already has them. An empty
+    row (no polygon, or a polygon with no ring) is not a rect."""
+    out = np.zeros(len(pg), dtype=bool)
+    # rows of one polygon with one 5-point ring
+    rows = np.flatnonzero(np.diff(pg.geom_offsets) == 1)
+    poly = pg.geom_offsets[rows]
+    one_ring = pg.poly_offsets[poly + 1] - pg.poly_offsets[poly] == 1
+    rows, ring = rows[one_ring], pg.poly_offsets[poly[one_ring]]
+    five = pg.ring_offsets[ring + 1] - pg.ring_offsets[ring] == 5
+    rows, ring = rows[five], ring[five]
+    if not len(rows):
         return out
-    b = polygon_bounds(pg)
-    areas = polygon_areas(pg)
-    box_area = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    idx = np.nonzero(cand & (areas == box_area) & (box_area > 0))[0]
-    if len(idx) == 0:
-        return out
+    b = (polygon_bounds(pg) if bounds is None else bounds)[rows]
     # gather the 5 ring points of every candidate at once
-    starts = pg.ring_offsets[first_ring[idx]]
-    pts = pg.coords[starts[:, None] + np.arange(5)]  # (m, 5, 2)
-    bx = b[idx]
+    pts = pg.coords[pg.ring_offsets[ring][:, None] + np.arange(5)]  # (m, 5, 2)
+    x, y = pts[:, :, 0], pts[:, :, 1]
+    area = 0.5 * np.abs((x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1]).sum(axis=1))
+    box_area = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     on_edge = (
-        ((pts[:, :, 0] == bx[:, None, 0]) | (pts[:, :, 0] == bx[:, None, 2]))
-        & ((pts[:, :, 1] == bx[:, None, 1]) | (pts[:, :, 1] == bx[:, None, 3]))
+        ((x == b[:, None, 0]) | (x == b[:, None, 2]))
+        & ((y == b[:, None, 1]) | (y == b[:, None, 3]))
     ).all(axis=1)
-    out[idx] = on_edge
+    out[rows] = on_edge & (area == box_area) & (box_area > 0)
     return out
 
 

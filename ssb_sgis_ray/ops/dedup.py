@@ -700,7 +700,7 @@ def _merge_distinct(packed):
         return rd.from_arrow(pa.table(
             {"id_a": pa.array(a, pa.int64()),
              "id_b": pa.array(bb, pa.int64())}
-        ))
+        )).materialize()  # a bare from_arrow starts an executor per read
     return co_group(packed, ["id_a", "id_b"], _first_of_runs)
 
 

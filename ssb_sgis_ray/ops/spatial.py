@@ -6,15 +6,16 @@ keeps left rows matching ANY right geometry, deduplicated; anti is the
 complement; split returns a matched flag) and the sjoin-pairs projection of
 ``get_neighbor_indices`` (neighbors.py:19-116), as Ray Data plans:
 
-* **broadcast path** (small right side): the right geometry table is
-  ``ray.put`` once, and one stage, ``SFilter``, answers every left kind
-  (point, polygon, line) and every mode (semi, anti, split, pairs) from
-  one STRtree query and one predicate kernel call per batch. It decodes
-  the right side and builds its STRtree when constructed: once per actor
-  in an actor pool, but once per batch where the input runs as tasks
-  (small inputs and 1-CPU sessions, pool.broadcast_map_batches) and once
-  per block in the flagship's fused task. This is the "broadcast small
-  side" plan from SURVEY.md §2.4.
+* **broadcast path** (small right side): one Ray task per query
+  (``broadcast_index``) decodes the right geometry table and builds its
+  bounds, STRtree and axis-rect flags, while the caller plans and Ray
+  Data starts reading the left side. One stage, ``SFilter``, answers
+  every left kind (point, polygon, line) and every mode (semi, anti,
+  split, pairs) from one STRtree query and one predicate kernel call
+  per batch; constructing it is a ``ray.get`` of the built index, so an
+  actor, a task per batch (pool.broadcast_map_batches) and the
+  flagship's fused task per block all share the one build. This is the
+  "broadcast small side" plan from SURVEY.md §2.4.
 * **cell co-partition path** (both sides large): both sides are flat-mapped
   to their covering cells (cells.cover_bbox), tagged, unioned, and joined
   per cell over Arrow groups (``exchange.co_group``: a hash cut on plain
@@ -48,14 +49,46 @@ from ..pool import broadcast_map_batches
 Mode = Literal["semi", "anti", "split", "pairs"]
 
 
-class _BroadcastIndex:
-    """Decoded right side + STRtree, built from a ray.put'd table."""
+class _PolygonIndex:
+    """A polygon right side, decoded once: its polygons, bounds, STRtree
+    and axis-rect flags."""
+
+    def __init__(self, right: pa.Table):
+        self.pg = wkb.decode_polygons(right["geometry_wkb"])
+        self.bounds = kernels.polygon_bounds(self.pg)
+        self.rects = kernels.detect_axis_rects(self.pg, self.bounds)
+        self.tree = STRtree(self.bounds)
+
+
+class _BroadcastIndex(_PolygonIndex):
+    """The ``_PolygonIndex`` of a ``ray.put`` right table. A broadcast
+    join builds one per query in a Ray task (``broadcast_index``) and
+    every batch ``ray.get``s it. It keeps the table's ref, not a copy:
+    the table stays in the object store as long as the index, and a
+    pairs join reads its right columns from there."""
 
     def __init__(self, right_ref):
-        right: pa.Table = ray.get(right_ref)
-        self.table = right
-        self.pg = wkb.decode_polygons(right["geometry_wkb"])
-        self.tree = STRtree(kernels.polygon_bounds(self.pg))
+        self.table_ref = right_ref
+        super().__init__(ray.get(right_ref))
+
+
+@ray.remote
+def _build_index(right) -> _BroadcastIndex:
+    """``_BroadcastIndex(right[0])`` in a Ray task; the table's ref comes
+    in a list so that Ray hands the task the ref, which the index keeps,
+    rather than the table."""
+    return _BroadcastIndex(right[0])
+
+
+def broadcast_index(right_table: pa.Table, right_cols=()):
+    """ObjectRef of ``right_table``'s broadcast index, built by one Ray
+    task. The task runs while the caller plans and Ray Data starts
+    reading the left side; its answer sits in the object store, where
+    each batch's ``ray.get`` maps the arrays without a copy. Only the
+    geometry and ``right_cols`` are put in the object store: a pairs-mode
+    ``SFilter`` on this index appends those columns and no others."""
+    cols = list(dict.fromkeys(["geometry_wkb", *right_cols]))
+    return _build_index.remote([ray.put(right_table.select(cols))])
 
 
 def _left_points(cols):
@@ -75,8 +108,8 @@ def _left_lines(cols):
 
 # left_kind -> (decode: the kernel's left arguments and their (n, 4)
 # bounds from the left's geometry columns, predicate kernel in geo.kernels).
-# The kernel is looked up by name when a filter is built, so wrappers put
-# on geo.kernels in a worker process apply.
+# The kernel is looked up by name on each call, so wrappers put on
+# geo.kernels in a worker process apply.
 _LEFT_KINDS = {
     "point": (_left_points, "points_in_polygon_pairs_predicate"),
     "polygon": (_left_polygons, "polygon_predicate_pairs"),
@@ -84,65 +117,81 @@ _LEFT_KINDS = {
 }
 
 
-def _candidate_masks(decode, kernel, left_cols, right_pg, tree, predicate):
+def _candidate_masks(kind, left_cols, right: _PolygonIndex, predicate):
     """One STRtree query and one kernel call: the left row count, the
-    candidate (left, right) index pairs ``qi, pi`` and the (k, n_pairs)
-    bool masks of predicate name k on them."""
+    candidate (left, right) index pairs ``qi, pi`` (query-major, as
+    ``STRtree.query_bbox`` returns them) and the (k, n_pairs) bool masks
+    of predicate name k on them. The polygon kernel reads the right
+    side's bounds and rect flags from the index."""
+    decode, kernel = _LEFT_KINDS[kind]
     left, boxes = decode(left_cols)
     k = len(kernels.predicate_names(predicate))
-    qi, pi = tree.query_bbox(boxes)
+    qi, pi = right.tree.query_bbox(boxes)
     masks = np.zeros((k, 0), dtype=bool)
     if len(qi):
-        masks = np.reshape(kernel(*left, right_pg, qi, pi, predicate), (k, len(qi)))
+        extra = ({"right_bounds": right.bounds, "right_rects": right.rects}
+                 if kind == "polygon" else {})
+        masks = np.reshape(getattr(kernels, kernel)(
+            *left, right.pg, qi, pi, predicate, **extra), (k, len(qi)))
     return len(boxes), qi, pi, masks
 
 
-def _match_masks(decode, kernel, left_cols, right_pg, tree, predicate):
+def _match_masks(kind, left_cols, right: _PolygonIndex, predicate):
     """(k, n_left) bool: left row i satisfies predicate name k against
     some right geometry."""
-    n, qi, _, masks = _candidate_masks(
-        decode, kernel, left_cols, right_pg, tree, predicate)
+    n, qi, _, masks = _candidate_masks(kind, left_cols, right, predicate)
+    return _any_per_left(qi, masks, n)
+
+
+def _any_per_left(qi, masks, n):
+    """(k, n) bool: some pair of left row i is True in row k of the
+    (k, n_pairs) ``masks``. ``qi`` is query-major, as
+    ``STRtree.query_bbox`` returns it, so each left row's pairs are one
+    run: one ``logical_or.reduceat`` over the runs reduces every row of
+    ``masks`` at once."""
     matched = np.zeros((len(masks), n), dtype=bool)
-    k, pair = np.nonzero(masks)
-    matched[k, qi[pair]] = True  # any match keeps the row
+    if len(qi):
+        starts, _ = exchange.runs(qi)
+        matched[:, qi[starts]] = np.logical_or.reduceat(masks, starts, axis=1)
     return matched
 
 
 class SFilter:
     """Broadcast join stage of point, polygon or line lefts (``px``/``py``
-    or ``geometry_wkb`` columns) against the ray.put'd polygons.
+    or ``geometry_wkb`` columns) against a broadcast polygon index.
 
-    The decoded polygons and their STRtree are built in ``__init__``, so
-    once per actor in a pool and once per batch or block where the stage
-    runs as tasks; ``__call__`` handles one Arrow batch, fully
-    vectorized. Modes: semi / anti keep the left rows that match / do not
-    match; split appends a ``matched`` column, or with a sequence of
-    predicate names one ``matched_<name>`` column per name from the same
-    candidate pairs; pairs emits one row per matching (left, right) pair,
-    the left row's columns plus ``right_cols`` (``<name>_2`` on a clash
-    with a left column)."""
+    ``index_ref`` is the ObjectRef of ``broadcast_index``'s answer,
+    built once per query: ``__init__`` is a ``ray.get`` of it (and, in
+    pairs mode, of the right table), which maps arrays from the object
+    store and decodes nothing, so the stage costs the same constructed
+    once per actor or once per batch. ``__call__`` handles one Arrow
+    batch, fully vectorized. Modes: semi / anti keep the left rows that match / do not match; split appends a
+    ``matched`` column, or with a sequence of predicate names one
+    ``matched_<name>`` column per name from the same candidate pairs;
+    pairs emits one row per matching (left, right) pair, the left row's
+    columns plus ``right_cols`` (``<name>_2`` on a clash with a left
+    column)."""
 
-    def __init__(self, right_ref, mode: Mode = "semi",
+    def __init__(self, index_ref, mode: Mode = "semi",
                  left_kind: str = "point", predicate="intersects",
                  right_cols=()):
-        self.idx = _BroadcastIndex(right_ref)
-        self.decode, kernel = _LEFT_KINDS[left_kind]
-        self.kernel = getattr(kernels, kernel)
+        self.idx: _BroadcastIndex = ray.get(index_ref)
+        self.right = ray.get(self.idx.table_ref) if mode == "pairs" else None
+        self.kind = left_kind
         self.cols = ("px", "py") if left_kind == "point" else ("geometry_wkb",)
         self.mode = mode
         self.predicate = predicate
         self.right_cols = right_cols
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        args = (self.decode, self.kernel, [batch[c] for c in self.cols],
-                self.idx.pg, self.idx.tree, self.predicate)
+        args = (self.kind, [batch[c] for c in self.cols], self.idx, self.predicate)
         if self.mode == "pairs":
             _, qi, pi, masks = _candidate_masks(*args)
             out = batch.take(pa.array(qi[masks[0]], pa.int64()))
             right = pa.array(pi[masks[0]], pa.int64())
             for c in self.right_cols:
                 name = f"{c}_2" if c in out.column_names else c
-                out = out.append_column(name, self.idx.table[c].take(right))
+                out = out.append_column(name, self.right[c].take(right))
             return out
         matched = _match_masks(*args)
         if self.mode == "semi":
@@ -208,8 +257,8 @@ def sfilter(
     return broadcast_map_batches(
         left,
         SFilter,
-        fn_constructor_kwargs={"right_ref": ray.put(right_table), "mode": mode,
-                               "left_kind": left_kind,
+        fn_constructor_kwargs={"index_ref": broadcast_index(right_table),
+                               "mode": mode, "left_kind": left_kind,
                                "predicate": predicate},
         batch_size=batch_size,
         concurrency=concurrency,
@@ -234,7 +283,7 @@ def sjoin_pairs(
     return broadcast_map_batches(
         left,
         SFilter,
-        fn_constructor_kwargs={"right_ref": ray.put(right_table),
+        fn_constructor_kwargs={"index_ref": broadcast_index(right_table, right_cols),
                                "mode": "pairs", "left_kind": left_kind,
                                "right_cols": right_cols},
         batch_size=batch_size,
@@ -889,9 +938,9 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
                  res: int = 7,
                  left_kind: Literal["polygon", "line"] = "polygon"):
     """Large×large predicate sfilter — the scale path when the right
-    side exceeds the broadcast envelope (SFilter decodes the whole right
-    table and builds its STRtree in every actor; at 10^6+ geometries that
-    init dominates). Both sides stream as Datasets tagged with their
+    side exceeds the broadcast envelope (one task decodes the whole right
+    table and builds its STRtree, and every batch maps all of it; at
+    10^6+ geometries that build dominates). Both sides stream as Datasets tagged with their
     covering cells and are co-grouped by cell (``exchange.co_group``);
     each cell's kernel evaluates one predicate name of the full
     vocabulary with the broadcast plan's left-kind table
@@ -920,17 +969,14 @@ def sfilter_cell(left_ds, right_ds, *, left_id: str = "left_id",
     rt = right_ds.map_batches(
         lambda b: _tag_generic(b, res, right_id, 1, "polygon"),
         batch_format="pyarrow")
-    decode, kernel = _LEFT_KINDS[left_kind]
 
     def cell_kernel(g: pa.Table) -> pa.Table:
         is_left = g["side"].to_numpy() == 0
         li, ri = np.flatnonzero(is_left), np.flatnonzero(~is_left)
         if len(li) == 0 or len(ri) == 0:
             return pa.table({"gid": pa.array([], pa.int64())})
-        rg = wkb.decode_polygons(g["geometry_wkb"].take(ri))
-        tree = STRtree(kernels.polygon_bounds(rg))
-        matched = _match_masks(decode, getattr(kernels, kernel),
-                               [g["geometry_wkb"].take(li)], rg, tree,
+        matched = _match_masks(left_kind, [g["geometry_wkb"].take(li)],
+                               _PolygonIndex(g.select(["geometry_wkb"]).take(ri)),
                                predicate)[0]
         gid = g["gid"].to_numpy()[li]
         return pa.table({"gid": pa.array(np.unique(gid[matched]), pa.int64())})

@@ -6,8 +6,9 @@
              then source render, SSE/PSNR and aHash as reductions over
              flat chunk buffers)
            georeferenced box per image (add_footprints)
-           region PIP/intersects join (broadcast nation diamonds, STRtree
-             built once per block) — the enrichment step of sgis's
+           region PIP/intersects join (broadcast nation diamonds, their
+             STRtree built once per job in one Ray task and fetched per
+             block) — the enrichment step of sgis's
              write_municipality_data (io/write_municipality_data.py:144-195)
            covering-tile flat-map  raster<->vector assignment
            sink partition key (region x tile sub-block)
@@ -23,8 +24,9 @@ actor starts per execution, and the task workers keep their imports
 between executions. Inside a task, decode+validate, footprint, region
 join and cover run over the whole block: per image only the codec's
 inflate (zlib) runs, plus the encode when the images are synthesized
-rather than read. The region index is 25 diamonds; rebuilding it per
-block costs about a millisecond. Uncapped (``concurrency=None``), Ray
+rather than read. The region index (``spatial.broadcast_index``) is built
+once per run by one Ray task, as every broadcast join builds its index;
+each block's stage ``ray.get``s it. Uncapped (``concurrency=None``), Ray
 fuses read -> stage into one task operator; Ray 2.49 fuses two task
 operators only when their caps are equal, so a capped stage runs behind
 its own (cheap) read operator.
@@ -58,16 +60,16 @@ class FusedFlagshipStage:
     """The whole per-image chain in one callable.
 
     build images -> decode+validate -> footprint -> region join (an
-    ``SFilter`` in pairs mode, its STRtree over the regions built in the
-    constructor) -> covering-tile flat-map, all inside a single
+    ``SFilter`` in pairs mode over the regions' prebuilt broadcast
+    index, ``index_ref``) -> covering-tile flat-map, all inside a single
     ``__call__``. ``flagship_task`` builds one per block, so the chain
     runs in one map task per block and never ships the image ``bytes``
     between operators — the only wide step left in the job is the sink's
     sized exchange on ``part_key``.
     """
 
-    def __init__(self, regions_ref, copies: int = 1, prebuilt: bool = False):
-        self.join = spatial.SFilter(regions_ref, mode="pairs", left_kind="polygon",
+    def __init__(self, index_ref, copies: int = 1, prebuilt: bool = False):
+        self.join = spatial.SFilter(index_ref, mode="pairs", left_kind="polygon",
                                     right_cols=["n_nationkey"])
         self.prebuilt = prebuilt  # input is already an image table (Lance)
         self.build = img_src.BuildImages(copies=copies)
@@ -88,10 +90,10 @@ class FusedFlagshipStage:
         return _cover_with_region(self.join(slim))
 
 
-def flagship_task(batch: pa.Table, regions_ref, copies: int, prebuilt: bool,
+def flagship_task(batch: pa.Table, index_ref, copies: int, prebuilt: bool,
                   subparts: int) -> pa.Table:
     """Map task over one read block: the fused chain plus the sink key."""
-    stage = FusedFlagshipStage(regions_ref, copies=copies, prebuilt=prebuilt)
+    stage = FusedFlagshipStage(index_ref, copies=copies, prebuilt=prebuilt)
     return _add_part_key(stage(batch), subparts)
 
 
@@ -130,10 +132,9 @@ def flagship(sf_dir: str, out_dir: str, concurrency=(1, 8), copies: int = 1,
     ``concurrency``: cap on concurrent stage tasks — an int, a
     ``(min, max)`` tuple whose max is the cap, or None for no cap.
     Parallelism comes from the read blocks."""
-    import ray
     import ray.data as rd
 
-    regions_ref = ray.put(region_table(sf_dir))
+    index_ref = spatial.broadcast_index(region_table(sf_dir), ["n_nationkey"])
     if source_path is not None:
         from ..sources import lance_io
 
@@ -143,7 +144,7 @@ def flagship(sf_dir: str, out_dir: str, concurrency=(1, 8), copies: int = 1,
     tiled = src.map_batches(
         flagship_task,
         fn_kwargs={
-            "regions_ref": regions_ref, "copies": copies,
+            "index_ref": index_ref, "copies": copies,
             "prebuilt": source_path is not None, "subparts": subparts,
         },
         batch_format="pyarrow",

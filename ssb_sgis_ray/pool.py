@@ -71,8 +71,8 @@ def broadcast_map_batches(ds, cls, *, fn_constructor_kwargs, batch_size,
     Small inputs (<= SMALL_TASK_BATCHES batches by the ``nrows`` hint) run
     as a STATELESS task-pool stage: Ray tasks reuse warm worker processes,
     so there is no actor spawn at all — the class is constructed fresh per
-    batch (init must be cheap: a ray.get of the broadcast ref + a small
-    index build). Measured on knn3 (15k rows, one batch): even a capped
+    batch (init must be cheap: a ray.get of a prebuilt broadcast index,
+    as ``ops.spatial.SFilter`` does, or of a small table). Measured on knn3 (15k rows, one batch): even a capped
     2-actor pool swings 1.4-6.7 s on a warm session from actor-spawn
     timing; the task pool is a stable 0.8-0.9 s. Large inputs keep the
     autoscaling actor pool so the init runs once per actor, not per batch,

@@ -337,6 +337,75 @@ def test_hash_co_group_plan_shape(ray_session, monkeypatch):
     assert got["n"].to_pylist() == n.tolist()
 
 
+def test_co_group_answer_from_reducer_metadata(ray_session, monkeypatch):
+    """The answer is built from the metadata each reducer returns with its
+    block: no ``from_arrow_refs`` and so no metadata task runs, and the
+    answer's schema, row count and blocks equal what ``from_arrow_refs``
+    makes of the same blocks. The empty answers keep their shape too."""
+    import ray
+    import ray.data as rd
+
+    rng = np.random.default_rng(5)
+    blocks = [pa.table({"k": pa.array(rng.integers(0, 200, 300), pa.int64())})
+              for _ in range(3)]
+
+    def kernel(b: pa.Table) -> pa.Table:
+        starts, ends = exchange.runs(b["k"].to_numpy())
+        return pa.table({"k": b["k"].take(starts), "n": pa.array(ends - starts, pa.int64())})
+
+    def refuse(*a, **k):
+        raise AssertionError("co_group called from_arrow_refs")
+
+    with monkeypatch.context() as m:
+        m.setattr(rd, "from_arrow_refs", refuse)
+        out = exchange.co_group(rd.from_arrow(blocks), "k", kernel)
+        sized = exchange.co_group(rd.from_arrow(blocks), "k", kernel, [50, 120])
+        empty = exchange.co_group(rd.from_arrow(blocks[0].slice(0, 0)), "k", kernel)
+    for got in (out, sized, empty):
+        refs = got.to_arrow_refs()
+        ref_ds = rd.from_arrow_refs(refs)
+        assert got.schema() == ref_ds.schema()
+        assert got.count() == ref_ds.count()
+        assert ray.get(refs) == ray.get(ref_ds.to_arrow_refs())
+    assert out.count() == len(np.unique(np.concatenate([b["k"].to_numpy() for b in blocks])))
+    assert empty.count() == 0 and empty.schema().names == ["k", "n"]
+
+
+def test_bare_from_arrow_inputs_start_no_executor(ray_session, monkeypatch):
+    """A bare ``from_arrow`` Dataset is a ``MaterializedDataset`` whose
+    plan has not run: ``co_group`` and ``key_counts`` materialize it
+    (no executor) instead of iterating it (one executor each), and the
+    driver-merge branch of the dedup pair distinct returns an answer
+    whose reading starts none either."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from ssb_sgis_ray.ops import dedup
+
+    t = pa.table({"k": pa.array(np.arange(1000) % 37, pa.int64())})
+    pairs = pa.table({"id_a": pa.array([1, 1, 2], pa.int64()),
+                      "id_b": pa.array([5, 5, 7], pa.int64())})
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counted_execute(self, *a, **k):
+        executions.append(1)
+        return execute(self, *a, **k)
+
+    monkeypatch.setattr(dedup, "SMALL_VERIFY_PAIRS", 10)
+    with monkeypatch.context() as m:
+        m.setattr(StreamingExecutor, "execute", counted_execute)
+        grouped = exchange.co_group(rd.from_arrow(t), "k", lambda b: b)
+        keys, counts = exchange.key_counts(rd.from_arrow(t), "k")
+        merged = dedup._merge_distinct(rd.from_arrow(pairs).materialize())
+        got = merged.to_pandas()
+        assert not executions
+    assert grouped.count() == 1000
+    assert keys.to_pylist() == list(range(37))
+    assert counts.tolist() == np.bincount(np.arange(1000) % 37).tolist()
+    assert sorted(zip(got["id_a"], got["id_b"])) == [(1, 5), (2, 7)]
+
+
 def test_co_group_answer_joins_with_an_empty_partition(ray_session):
     """An answer whose first partition is empty still joins: Ray 2.49's
     ``Dataset.join`` takes a side's schema from its first block only,

@@ -1187,7 +1187,6 @@ def _split_equals_single_calls(left_tbl, right, left_kind, key):
     semi / anti / single-name split outputs are the matching rows. The
     single-name filters run the filter stage in-process on the whole
     table (one batch) to keep the test fast."""
-    import ray
     import ray.data as rd
 
     names = kernels.PREDICATES
@@ -1195,7 +1194,7 @@ def _split_equals_single_calls(left_tbl, right, left_kind, key):
         rd.from_arrow(left_tbl).repartition(2), right, mode="split",
         left_kind=left_kind, predicate=list(names)).to_pandas()
     assert sorted(split[key]) == sorted(left_tbl[key].to_pylist())
-    ref = ray.put(right)
+    ref = spatial.broadcast_index(right)
     for name in names:
         def run(mode):
             return spatial.SFilter(ref, mode, left_kind, name)(left_tbl)
@@ -1410,3 +1409,123 @@ def test_cell_skew_summary_matches_collected_cells(ray_session):
         "skew_ratio": float(n.max() / max(float(np.median(n)), 1.0)),
     }
     assert s["skew_ratio"] > 2  # the fixture really is skewed
+
+
+def test_any_per_left_equals_scatter_reference():
+    """The per-left reduction of the filter modes (one
+    ``logical_or.reduceat`` over the query-major runs of ``qi``) equals
+    the nonzero + scatter it replaced, on random candidate sets: k = 1..4
+    names, left rows with no candidate, zero pairs."""
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(1, 5))
+        per_left = rng.integers(0, 6, n) * (rng.random(n) < 0.6)  # some rows get none
+        qi = np.repeat(np.arange(n), per_left)  # query-major, as query_bbox returns
+        masks = rng.random((k, len(qi))) < rng.random()
+        want = np.zeros((k, n), dtype=bool)
+        kk, pair = np.nonzero(masks)
+        want[kk, qi[pair]] = True
+        got = spatial._any_per_left(qi, masks, n)
+        assert got.shape == (k, n) and (got == want).all(), trial
+    empty = spatial._any_per_left(np.empty(0, np.int64), np.zeros((3, 0), bool), 5)
+    assert empty.shape == (3, 5) and not empty.any()
+
+
+def _count_builds(monkeypatch):
+    """Patch ``spatial._build_index`` to count the build tasks submitted
+    in this process."""
+    build = spatial._build_index
+    submitted = []
+
+    class Counted:
+        def remote(self, *a):
+            submitted.append(1)
+            return build.remote(*a)
+
+    monkeypatch.setattr(spatial, "_build_index", Counted())
+    return submitted
+
+
+def test_sfilter_builds_its_index_once(ray_session, monkeypatch):
+    """A task-stage sfilter over several batches submits one index build
+    (its batches ``ray.get`` it); a bad argument raises before any build
+    is submitted."""
+    import ray.data as rd
+
+    submitted = _count_builds(monkeypatch)
+    cust = synth.add_customer_points(
+        pq.read_table(f"{SF}/customer.parquet", columns=["c_custkey"]))
+    sup = suppliers_table()
+    with pytest.raises(ValueError):
+        spatial.sfilter(_never_executed(), sup, mode="semi", predicate="intersect")
+    with pytest.raises(ValueError):
+        spatial.sjoin_pairs(_never_executed(), sup, ["s_suppkey"], left_kind="area")
+    assert not submitted
+    # three batches, under pool.SMALL_TASK_BATCHES: a task per batch
+    ds = spatial.sfilter(rd.from_arrow(cust), sup, mode="split",
+                         batch_size=-(-cust.num_rows // 3), nrows=cust.num_rows)
+    assert len(submitted) == 1
+    got = ds.to_pandas()
+    assert len(submitted) == 1
+    ref = spatial.broadcast_index(sup)
+    want = spatial.SFilter(ref, "split")(cust)
+    assert sorted(zip(got["c_custkey"], got["matched"])) == sorted(
+        zip(want["c_custkey"].to_pylist(), want["matched"].to_pylist()))
+    assert got["matched"].any() and not got["matched"].all()
+
+
+def test_sfilter_constructor_decodes_no_wkb(ray_session, monkeypatch):
+    """Constructing ``SFilter`` is a ``ray.get`` of the prebuilt index:
+    no WKB decode and no STRtree build, in any mode."""
+    import ray
+
+    from ssb_sgis_ray.geo import strtree
+
+    ref = spatial.broadcast_index(suppliers_table(), ["s_suppkey"])
+    ray.wait([ref])
+
+    def refuse(*a, **k):
+        raise AssertionError("SFilter decoded or indexed the right side")
+
+    monkeypatch.setattr(wkb, "decode_polygons", refuse)
+    monkeypatch.setattr(strtree.STRtree, "__init__", refuse)
+    for mode in ("semi", "anti", "split"):
+        spatial.SFilter(ref, mode, "point")
+    stage = spatial.SFilter(ref, "pairs", "point", right_cols=["s_suppkey"])
+    pts = pa.table({"px": pa.array([-10**7], pa.int64()),
+                    "py": pa.array([-10**7], pa.int64())})
+    assert stage(pts).column_names == ["px", "py", "s_suppkey"]
+
+
+@pytest.mark.parametrize("right", ["typed_empty", "one_empty_polygon"])
+def test_broadcast_modes_against_an_empty_right(ray_session, right):
+    """A typed 0-row right table, and a right holding one empty polygon,
+    match no left row: semi keeps none, anti keeps all, split flags all
+    False, pairs emits none; point and polygon lefts alike."""
+    import ray.data as rd
+
+    sup = suppliers_table()
+    if right == "typed_empty":
+        rt = sup.slice(0, 0)
+    else:
+        g = sup.schema.get_field_index("geometry_wkb")
+        rt = sup.slice(0, 1).set_column(
+            g, sup.schema.field(g),
+            pa.array([wkb.encode_polygon([])], sup.schema.field(g).type))
+    cust = synth.add_customer_points(
+        pq.read_table(f"{SF}/customer.parquet", columns=["c_custkey"])).slice(0, 200)
+    parts_t = synth.add_part_boxes(
+        pq.read_table(f"{SF}/part.parquet", columns=["p_partkey"])).slice(0, 200)
+    for left, kind, key in ((cust, "point", "c_custkey"), (parts_t, "polygon", "p_partkey")):
+        def run(mode, left=left, kind=kind):
+            return spatial.sfilter(rd.from_arrow(left), rt, mode=mode,
+                                   left_kind=kind).to_pandas()
+
+        assert len(run("semi")) == 0, kind
+        assert sorted(run("anti")[key]) == sorted(left[key].to_pylist()), kind
+        split = run("split")
+        assert len(split) == left.num_rows and not split["matched"].any(), kind
+        pairs = spatial.sjoin_pairs(rd.from_arrow(left), rt, ["s_suppkey"],
+                                    left_kind=kind).to_pandas()
+        assert len(pairs) == 0, kind

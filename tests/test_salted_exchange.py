@@ -21,7 +21,7 @@ from ssb_sgis_ray import exchange, synth
 from ssb_sgis_ray.geo import cells, wkb
 from ssb_sgis_ray.geo.strtree import NODE_CAP
 from ssb_sgis_ray.ops import spatial
-from ssb_sgis_ray.queries import lineitems, nations_ds
+from ssb_sgis_ray.queries import lineitems, nations_ds, orders_tbl, parts
 from test_ops_spatial import SF
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -270,8 +270,9 @@ def test_sized_co_group_runs_one_reducer_task_per_partition(ray_session):
         [x + 100 for x in range(-3, 20)], [x + 100 for x in range(20, 40)]]
 
     # the reducer of an empty partition: the kernel's typed answer to 0 rows
-    out, n = ray.get(exchange._reduce.remote("k", kernel, blocks[0].slice(0, 0)))
-    assert n == 0 and out.num_rows == 0 and out.column_names == ["k", "n", "call"]
+    out, meta = ray.get(exchange._reduce.remote("k", kernel, blocks[0].slice(0, 0)))
+    assert meta.num_rows == 0 and out.num_rows == 0 and out.column_names == ["k", "n", "call"]
+    assert meta.schema.names == ["k", "n", "call"]
 
 
 def test_salted_plan_tags_its_left_once(ray_session, tmp_path, monkeypatch):
@@ -667,30 +668,42 @@ DataContext.get_current().enable_progress_bars = False
 import pyarrow.parquet as pq
 from ssb_sgis_ray import synth
 from ssb_sgis_ray.ops import spatial
-from ssb_sgis_ray.queries import lineitems
+from ssb_sgis_ray.queries import lineitems, orders_tbl, parts
 sf = sys.argv[1]
 def pairs(ds):
     df = ds.to_pandas()
     return sorted(zip(df["l_key"].tolist(), df["n_nationkey"].tolist()))
 nat = synth.add_nation_diamonds(pq.read_table(f"{sf}/nation.parquet", columns=["n_nationkey"]))
 rows = pq.read_metadata(f"{sf}/lineitem.parquet").num_rows
+preds = ["touches", "overlaps", "within", "covers"]
+split = spatial.sfilter(parts(sf), orders_tbl(sf), mode="split", left_kind="polygon",
+                        predicate=preds).to_pandas()
 out = {
     "no_hint": pairs(spatial.sjoin_pairs(lineitems(sf), nat, right_cols=["n_nationkey"],
                                          batch_size=1024)),
     "hint": pairs(spatial.sjoin_pairs(lineitems(sf), nat, right_cols=["n_nationkey"],
                                       nrows=rows)),
+    "split": sorted(zip(split["p_partkey"].tolist(),
+                        *(split[f"matched_{p}"].tolist() for p in preds))),
 }
 ray.shutdown()
 print(json.dumps(out))
 """
 
 
-def test_broadcast_join_without_row_hint_in_one_cpu_session():
+def test_broadcast_join_without_row_hint_in_one_cpu_session(ray_session):
     """Without ``nrows`` a broadcast join used to start a (1, 8) actor
     pool, which in a 1-CPU session holds the only CPU its read tasks
     wait for, and never finished. ``pool_cap`` is 0 there and the join
     runs as tasks, here over several 1024-row batches; its pairs equal
-    the hinted join's."""
+    the hinted join's. Each broadcast call also runs its index build as
+    a task of its own: the joins and a polygon-left split sfilter
+    finish there, and the split equals this session's."""
+    preds = ["touches", "overlaps", "within", "covers"]
+    split = spatial.sfilter(parts(SF), orders_tbl(SF), mode="split", left_kind="polygon",
+                            predicate=preds).to_pandas()
+    want_split = sorted(zip(split["p_partkey"].tolist(),
+                            *(split[f"matched_{p}"].tolist() for p in preds)))
     env = dict(os.environ, PYTHONPATH=ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.Popen(
         [sys.executable, "-c", _ONE_CPU_NO_HINT, SF], cwd=ROOT, env=env,
@@ -706,3 +719,5 @@ def test_broadcast_join_without_row_hint_in_one_cpu_session():
     out = json.loads(stdout.strip().splitlines()[-1])
     assert len(out["hint"]) > 1000
     assert out["no_hint"] == out["hint"]
+    assert out["split"] == [list(r) for r in want_split]
+    assert any(any(r[1:]) for r in want_split)
